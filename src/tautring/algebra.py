@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -46,6 +47,8 @@ class ModelParams:
             raise ValueError("d must be an integer >= 1")
         if not isinstance(self.b, int) or self.b < 1:
             raise ValueError("b must be an integer >= 1")
+        if isinstance(self.delta, float):
+            raise ValueError("delta must be exact (int, Fraction or 'p/q'), not a float")
         delta = Fraction(self.b - 1) if self.delta is None else Fraction(self.delta)
         object.__setattr__(self, "delta", delta)
 
@@ -398,3 +401,32 @@ def enumerate_basis(params: ModelParams, m: int, codim: int) -> list[TautMonomia
             out.append(TautMonomial(m, pairs, hp, op))
     out.sort(key=TautMonomial.canonical_str)
     return out
+
+
+def _local_count(factors: int, total: int, n: int) -> int:
+    """Ways to give `factors` factors local degrees in 0..n summing to `total`
+    (inclusion-exclusion over the factors pushed above n)."""
+    if factors == 0:
+        return 1 if total == 0 else 0
+    return sum(
+        (-1) ** j * comb(factors, j) * comb(total - j * (n + 1) + factors - 1, factors - 1)
+        for j in range(min(factors, total // (n + 1)) + 1)
+    )
+
+
+def basis_count(params: ModelParams, m: int, codim: int) -> int:
+    """len(enumerate_basis(params, m, codim)) without building the basis.
+
+    A basis monomial is a matching of k tau pairs on 2k of the m factors,
+    ((2k-1)!! matchings of each choice), plus local degrees on the other
+    m - 2k factors summing to codim - n*k.
+    """
+    if m < 1:
+        raise ValueError("factor count must be >= 1")
+    if codim < 0:
+        raise ValueError("codimension must be >= 0")
+    n = params.n
+    return sum(
+        comb(m, 2 * k) * prod(range(1, 2 * k, 2)) * _local_count(m - 2 * k, codim - n * k, n)
+        for k in range(min(m // 2, codim // n) + 1)
+    )

@@ -10,13 +10,15 @@ degree through exact ranks and kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import (
     ModelParams,
     TautClass,
     TautMonomial,
+    _matchings,
     _mul_monomials,
     class_codim,
     enumerate_basis,
@@ -104,14 +106,43 @@ def _mono_pairing(a: TautMonomial, b: TautMonomial, params: ModelParams) -> Frac
     return coeff
 
 
+def _block_key(mono: TautMonomial, n: int, complement: bool = False) -> tuple:
+    """Which Gram block a monomial falls in: its tau-covered factors, then
+    the local degree (0 unit, n point class) of every other factor in order.
+
+    With `complement` each degree e becomes n - e, so a dual monomial gets
+    the key of the basis monomials it can pair with.  Two monomials pair to
+    nonzero only when their tau edges cover the same factors (the union of
+    two matchings contracts to o everywhere only if it is all cycles) and
+    their locals sum to n on every other factor.
+    """
+    covered = tuple(sorted(f for p in mono.pairs for f in p))
+    local = dict(mono.hpows)
+    local.update((f, n) for f in mono.opoints)
+    degrees = tuple(local.get(f, 0) for f in range(1, mono.m + 1) if f not in covered)
+    if complement:
+        degrees = tuple(n - e for e in degrees)
+    return covered, degrees
+
+
+class GramBlock(NamedTuple):
+    """One diagonal block of a Gram matrix: the basis positions `rows`, the
+    dual positions `cols` (both ascending) and their pairing values."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    entries: RationalMatrix
+
+
 @dataclass(frozen=True)
 class GramReport:
     """Pairing matrix of a codimension basis against its complementary basis.
 
-    `gram` has one row per basis monomial and one column per dual
-    monomial; `kernel_basis` spans the classes in the row basis that
-    pair to zero with every dual monomial, so
-    rank + len(kernel_basis) == len(basis).
+    The pairing is block diagonal (see `_block_key`), so only the blocks
+    are stored; `gram` scatters them into the dense matrix on first use,
+    with one row per basis monomial and one column per dual monomial.
+    `kernel_basis` spans the classes in the row basis that pair to zero
+    with every dual monomial, so rank + len(kernel_basis) == len(basis).
     """
 
     params: ModelParams
@@ -119,44 +150,92 @@ class GramReport:
     codim: int
     basis: tuple[TautMonomial, ...]
     dual_basis: tuple[TautMonomial, ...]
-    gram: RationalMatrix
+    blocks: tuple[GramBlock, ...]
     rank: int
     kernel_basis: tuple[TautClass, ...]
 
+    @cached_property
+    def gram(self) -> RationalMatrix:
+        entries = [[Fraction(0)] * len(self.dual_basis) for _ in self.basis]
+        for block in self.blocks:
+            for r, values in zip(block.rows, block.entries.entries):
+                row = entries[r]
+                for c, value in zip(block.cols, values):
+                    row[c] = value
+        return RationalMatrix(entries, cols=len(self.dual_basis))
+
+
+def _group(monos: Sequence[TautMonomial], n: int, complement: bool = False) -> dict[tuple, list[int]]:
+    groups: dict[tuple, list[int]] = {}
+    for idx, mono in enumerate(monos):
+        groups.setdefault(_block_key(mono, n, complement), []).append(idx)
+    return groups
+
 
 def gram(params: ModelParams, m: int, codim: int) -> GramReport:
-    """Exact Gram report at the given power and codimension."""
+    """Exact Gram report at the given power and codimension.
+
+    Each block is eliminated on its own.  A column of the dense matrix is
+    free exactly when it is free within its block, and its canonical
+    kernel vector only involves columns of the same block, so the block
+    kernels, ordered by free column (a vector's last nonzero entry), are
+    the canonical kernel of the whole matrix.
+    """
     basis = enumerate_basis(params, m, codim)
     dual = enumerate_basis(params, m, m * params.n - codim)
-    entries = [[_mono_pairing(row, col, params) for col in dual] for row in basis]
-    matrix = RationalMatrix(entries, cols=len(dual))
-    rank, kernel_vectors = rank_kernel(matrix.transpose())
-    kernel = tuple(
-        TautClass(m, {mono: c for mono, c in zip(basis, vec) if c}) for vec in kernel_vectors
-    )
+    dual_groups = _group(dual, params.n, complement=True)
+    blocks: list[GramBlock] = []
+    rank = 0
+    kernel: list[tuple[int, TautClass]] = []
+    for key, rows in _group(basis, params.n).items():
+        cols = dual_groups.get(key, [])
+        entries = [[_mono_pairing(basis[r], dual[c], params) for c in cols] for r in rows]
+        block = GramBlock(tuple(rows), tuple(cols), RationalMatrix(entries, cols=len(cols)))
+        blocks.append(block)
+        block_rank, vectors = rank_kernel(block.entries.transpose())
+        rank += block_rank
+        for vec in vectors:
+            free = max(i for i, c in enumerate(vec) if c)
+            terms = {basis[r]: c for r, c in zip(rows, vec) if c}
+            kernel.append((rows[free], TautClass(m, terms)))
+    kernel.sort(key=lambda item: item[0])
     return GramReport(
         params=params,
         m=m,
         codim=codim,
         basis=tuple(basis),
         dual_basis=tuple(dual),
-        gram=matrix,
+        blocks=tuple(blocks),
         rank=rank,
-        kernel_basis=kernel,
+        kernel_basis=tuple(cls for _, cls in kernel),
     )
 
 
 def is_zero_in_cohomology(x: TautClass, params: ModelParams) -> bool:
-    """True when x pairs to zero with every monomial of complementary codimension."""
+    """True when x pairs to zero with every monomial of complementary codimension.
+
+    Only the duals in a term's own block can pair with it: the perfect
+    matchings of its tau-covered factors, with the complementary local
+    class on every other factor.
+    """
     codim = class_codim(x, params)  # raises on inhomogeneous input
     if codim is None:
         return True
-    duals = enumerate_basis(params, x.m, x.m * params.n - codim)
-    items = list(x.terms.items())
-    for dual in duals:
-        total = Fraction(0)
-        for mono, coeff in items:
-            total += coeff * _mono_pairing(mono, dual, params)
-        if total:
-            return False
+    n = params.n
+    groups: dict[tuple, list[tuple[TautMonomial, Fraction]]] = {}
+    for mono, coeff in x.terms.items():
+        groups.setdefault(_block_key(mono, n), []).append((mono, coeff))
+    for (covered, degrees), items in groups.items():
+        uncovered = [f for f in range(1, x.m + 1) if f not in covered]
+        hpows = tuple((f, n - e) for f, e in zip(uncovered, degrees) if 0 < e < n)
+        opoints = tuple(f for f, e in zip(uncovered, degrees) if e == 0)
+        for pairs in _matchings(covered):
+            if 2 * len(pairs) < len(covered):
+                continue  # only perfect matchings of the covered factors
+            dual = TautMonomial(x.m, pairs, hpows, opoints)
+            total = Fraction(0)
+            for mono, coeff in items:
+                total += coeff * _mono_pairing(mono, dual, params)
+            if total:
+                return False
     return True

@@ -127,7 +127,10 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
             raise UsageError("profile custom requires --n and --d")
     if b is None:
         raise UsageError("--b is required (no default Betti number is assumed)")
-    delta = Fraction(args.delta) if args.delta is not None else None
+    try:
+        delta = Fraction(args.delta) if args.delta is not None else None
+    except ZeroDivisionError:
+        raise UsageError(f"--delta {args.delta} has a zero denominator") from None
     return Profile(name=args.profile, n=n, d=d, b=b, delta=delta).to_params()
 
 

@@ -38,6 +38,16 @@ def test_params_validation():
     assert ModelParams(2, 8, 3, delta=Fraction(7, 2)).delta == Fraction(7, 2)
 
 
+def test_params_reject_float_delta():
+    with pytest.raises(ValueError, match="float"):
+        ModelParams(n=2, d=8, b=3, delta=0.1)
+    with pytest.raises(ValueError, match="float"):
+        ModelParams(n=2, d=8, b=3, delta=0.5)  # exact in binary, still refused
+    assert ModelParams(2, 8, 3, delta=1).delta == Fraction(1)
+    assert ModelParams(2, 8, 3, delta="1/2").delta == Fraction(1, 2)
+    assert ModelParams(2, 8, 3, delta=Fraction(1, 2)).delta == Fraction(1, 2)
+
+
 def test_monomial_validation():
     with pytest.raises(ValueError):
         TautMonomial(2, pairs=((1, 1),))

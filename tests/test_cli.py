@@ -151,6 +151,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_zero_denominator_delta_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["euler", "--delta", "1/0"] + BASE)
+    assert code == 2 and out == ""
+    assert err == "error: --delta 1/0 has a zero denominator\n"
+
+
 def test_mul_strict_mode_rejects_non_normal_input(capsys):
     argv = ["mul", "h1^2", "1", "--no-normalize-input"] + BASE
     code, _, err = run_cli(capsys, argv)

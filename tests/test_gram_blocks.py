@@ -1,0 +1,65 @@
+"""Differential tests: the block Gram engine against the dense oracles."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from tautring import ModelParams, TautClass, basis_count, enumerate_basis, gram, is_zero_in_cohomology
+from oracles import dense_gram, dense_is_zero_in_cohomology
+
+DELTAS = (None, Fraction(1, 2), Fraction(0))  # None: the model value b - 1
+
+
+@st.composite
+def cells(draw):
+    """A profile with n in {2, 4}, a loop value, and a (power, codimension) cell."""
+    n = draw(st.sampled_from((2, 4)))
+    params = ModelParams(n, 8, draw(st.sampled_from((2, 3))), delta=draw(st.sampled_from(DELTAS)))
+    m = draw(st.integers(min_value=1, max_value=5 if n == 2 else 4))
+    codim = draw(st.integers(min_value=0, max_value=m * n))
+    return params, m, codim
+
+
+@given(cell=cells())
+@settings(max_examples=80, deadline=None)
+def test_block_gram_matches_dense_oracle(cell):
+    params, m, codim = cell
+    report, oracle = gram(params, m, codim), dense_gram(params, m, codim)
+    assert report.basis == oracle.basis and report.dual_basis == oracle.dual_basis
+    assert report.rank == oracle.rank
+    assert report.kernel_basis == oracle.kernel_basis
+    assert report.gram == oracle.gram
+
+
+@given(cell=cells(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_block_is_zero_matches_dense_oracle(cell, data):
+    params, m, codim = cell
+    report = gram(params, m, codim)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    x = TautClass(m)
+    if report.kernel_basis:
+        for kernel_class in data.draw(st.lists(st.sampled_from(report.kernel_basis), max_size=3)):
+            x = x + kernel_class.scale(data.draw(coeffs))
+    if report.basis and data.draw(st.booleans()):
+        mono = data.draw(st.sampled_from(report.basis))
+        x = x + TautClass.from_monomial(mono, data.draw(coeffs))
+    assert is_zero_in_cohomology(x, params) == dense_is_zero_in_cohomology(x, params)
+
+
+@given(cell=cells())
+@settings(max_examples=80, deadline=None)
+def test_basis_count_matches_enumeration(cell):
+    params, m, codim = cell
+    assert basis_count(params, m, codim) == len(enumerate_basis(params, m, codim))
+
+
+def test_blocks_are_perfect_matching_grams():
+    # at m = 6, middle codimension, the largest block pairs the 15 perfect
+    # matchings of all six factors with each other
+    report = gram(ModelParams(2, 8, 3), 6, 6)
+    sizes = sorted(len(block.rows) for block in report.blocks)
+    assert sizes[-1] == 15
+    assert all(len(block.rows) == len(block.cols) for block in report.blocks)
+    assert sum(sizes) == len(report.basis)
