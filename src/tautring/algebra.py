@@ -23,79 +23,84 @@ monomial basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, prod
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Validated:
+    """Mixin for namedtuple value types with a validating `__new__`.
+
+    namedtuple's `_make` (and `_replace`, which calls it) builds through
+    `tuple.__new__`; routing it through `cls(*iterable)` keeps every
+    instance normalised and checked.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ModelParams(_Validated, namedtuple("ModelParams", "n d b delta")):
     """Numerical profile of the model: dimension n (even), degree d,
     middle cohomology dimension b, loop value delta (defaults to b - 1)."""
 
-    n: int
-    d: int
-    b: int
-    delta: Fraction = None  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2 or self.n % 2:
+    def __new__(cls, n: int, d: int, b: int, delta: Fraction | int | str | None = None):
+        if not isinstance(n, int) or n < 2 or n % 2:
             raise ValueError("n must be an even integer >= 2")
-        if not isinstance(self.d, int) or self.d < 1:
+        if not isinstance(d, int) or d < 1:
             raise ValueError("d must be an integer >= 1")
-        if not isinstance(self.b, int) or self.b < 1:
+        if not isinstance(b, int) or b < 1:
             raise ValueError("b must be an integer >= 1")
-        if isinstance(self.delta, float):
+        if isinstance(delta, float):
             raise ValueError("delta must be exact (int, Fraction or 'p/q'), not a float")
-        delta = Fraction(self.b - 1) if self.delta is None else Fraction(self.delta)
-        object.__setattr__(self, "delta", delta)
+        delta = Fraction(b - 1) if delta is None else Fraction(delta)
+        return tuple.__new__(cls, (n, d, b, delta))
 
 
-@dataclass(frozen=True)
-class TautMonomial:
+class TautMonomial(_Validated, namedtuple("TautMonomial", "m pairs hpows opoints")):
     """Normal-form monomial on m factors.
 
     `pairs` is the tau matching (disjoint, each pair sorted), `hpows`
     maps unmatched factors to h exponents >= 1, `opoints` lists the
     unmatched factors carrying the point class.  Absent factors carry
-    the unit.  Construction sorts the fields, so equality is syntactic.
+    the unit.  Construction sorts the fields, so equality is syntactic
+    (and, the value being a tuple, hashing and equality run in C).
     """
 
-    m: int
-    pairs: tuple[tuple[int, int], ...] = ()
-    hpows: tuple[tuple[int, int], ...] = ()
-    opoints: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
+    def __new__(
+        cls,
+        m: int,
+        pairs: tuple[tuple[int, int], ...] = (),
+        hpows: tuple[tuple[int, int], ...] = (),
+        opoints: tuple[int, ...] = (),
+    ):
+        if m < 0:
             raise ValueError("factor count must be >= 0")
-        pairs = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
-        hpows = tuple(sorted(tuple(h) for h in self.hpows))
-        opoints = tuple(sorted(self.opoints))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "hpows", hpows)
-        object.__setattr__(self, "opoints", opoints)
+        pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
+        hpows = tuple(sorted(tuple(h) for h in hpows))
+        opoints = tuple(sorted(opoints))
         used: set[int] = set()
         for i, j in pairs:
             if i == j:
                 raise ValueError(f"tau pair ({i},{j}) must join distinct factors")
-            for f in (i, j):
-                self._claim(f, used)
+            _claim(i, m, used)
+            _claim(j, m, used)
         for f, e in hpows:
             if e < 1:
                 raise ValueError(f"h exponent {e} must be >= 1")
-            self._claim(f, used)
+            _claim(f, m, used)
         for f in opoints:
-            self._claim(f, used)
-
-    def _claim(self, factor: int, used: set[int]) -> None:
-        if not 1 <= factor <= self.m:
-            raise ValueError(f"factor index {factor} out of range 1..{self.m}")
-        if factor in used:
-            raise ValueError(f"factor {factor} used more than once")
-        used.add(factor)
+            _claim(f, m, used)
+        return tuple.__new__(cls, (m, pairs, hpows, opoints))
 
     def canonical_str(self) -> str:
         """Canonical text form: tau atoms sorted, then locals by factor."""
@@ -110,6 +115,14 @@ class TautMonomial:
 
     def __str__(self) -> str:
         return self.canonical_str()
+
+
+def _claim(factor: int, m: int, used: set[int]) -> None:
+    if not 1 <= factor <= m:
+        raise ValueError(f"factor index {factor} out of range 1..{m}")
+    if factor in used:
+        raise ValueError(f"factor {factor} used more than once")
+    used.add(factor)
 
 
 def monomial_codim(mono: TautMonomial, params: ModelParams) -> int:
@@ -135,7 +148,8 @@ class TautClass:
         for mono, coeff in (terms or {}).items():
             if mono.m != m:
                 raise ValueError(f"monomial on {mono.m} factors in a class on {m}")
-            coeff = Fraction(coeff)
+            if coeff.__class__ is not Fraction:
+                coeff = Fraction(coeff)
             if coeff:
                 clean[mono] = coeff
         self.m = m

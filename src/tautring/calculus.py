@@ -9,8 +9,6 @@ degree through exact ranks and kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -134,12 +132,11 @@ class GramBlock(NamedTuple):
     entries: RationalMatrix
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(NamedTuple):
     """Pairing matrix of a codimension basis against its complementary basis.
 
     The pairing is block diagonal (see `_block_key`), so only the blocks
-    are stored; `gram` scatters them into the dense matrix on first use,
+    are stored; `gram` scatters them into the dense matrix on each use,
     with one row per basis monomial and one column per dual monomial.
     `kernel_basis` spans the classes in the row basis that pair to zero
     with every dual monomial, so rank + len(kernel_basis) == len(basis).
@@ -154,7 +151,7 @@ class GramReport:
     rank: int
     kernel_basis: tuple[TautClass, ...]
 
-    @cached_property
+    @property
     def gram(self) -> RationalMatrix:
         entries = [[Fraction(0)] * len(self.dual_basis) for _ in self.basis]
         for block in self.blocks:

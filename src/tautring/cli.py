@@ -16,7 +16,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ModelParams, class_codim, enumerate_basis, multiply
@@ -41,20 +40,6 @@ from .motives import (
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Resolved parameter profile; named profiles pin n and d."""
-
-    name: str
-    n: int
-    d: int
-    b: int
-    delta: Fraction | None = None
-
-    def to_params(self) -> ModelParams:
-        return ModelParams(n=self.n, d=self.d, b=self.b, delta=self.delta)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +116,7 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
         delta = Fraction(args.delta) if args.delta is not None else None
     except ZeroDivisionError:
         raise UsageError(f"--delta {args.delta} has a zero denominator") from None
-    return Profile(name=args.profile, n=n, d=d, b=b, delta=delta).to_params()
+    return ModelParams(n, d, b, delta)
 
 
 def _cmd_basis(args, params):
@@ -370,18 +355,9 @@ def _tabular(command: str, results: dict) -> tuple[list[str], list[list]]:
             [results["value"], results["expected"], results["match"]]
         ]
     if command == "kimura":
-        return (
-            ["b", "delta", "vanishing", "crosscheck_ok", "dual_count"],
-            [
-                [
-                    results["b"],
-                    results["delta"],
-                    results["vanishing"],
-                    results["crosscheck_ok"],
-                    results["dual_count"],
-                ]
-            ],
-        )
+        headers = ["b", "delta", "vanishing", "crosscheck_ok", "dual_count"]
+        # a run stopped by a cap has only its error to report
+        return headers, [] if "error" in results else [[results[h] for h in headers]]
     if command == "scan":
         return (
             ["m", "codim", "basis_size", "rank", "deficiency"],

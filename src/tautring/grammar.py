@@ -247,8 +247,4 @@ def format_class(x: TautClass, params: ModelParams) -> str:
     return "".join(parts)
 
 
-def format_monomials(monos: list[TautMonomial]) -> list[str]:
-    return [mono.canonical_str() for mono in monos]
-
-
-__all__ = ["ParseError", "parse_class", "format_class", "format_monomials"]
+__all__ = ["ParseError", "parse_class", "format_class"]

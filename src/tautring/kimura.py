@@ -12,9 +12,8 @@ radical first appears.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import ModelParams, TautClass, TautMonomial, basis_count
 from .calculus import gram, is_zero_in_cohomology, pair
@@ -50,8 +49,7 @@ def _sign(perm: Sequence[int]) -> int:
     return -1 if (len(perm) - _cycle_count(perm)) % 2 else 1
 
 
-@dataclass(frozen=True)
-class KimuraElement:
+class KimuraElement(NamedTuple):
     """Alternating sum of block matchings on 2b factors; b! terms, signs +-1."""
 
     b: int
@@ -86,8 +84,7 @@ def falling_factorial_pairing(b: int, delta: Fraction | int, cap_b: int = DEFAUL
     return total
 
 
-@dataclass(frozen=True)
-class KimuraReport:
+class KimuraReport(NamedTuple):
     params: ModelParams
     b: int
     delta: Fraction
@@ -138,8 +135,7 @@ def verify_kimura_vanishing(
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     m: int
     codim: int
     basis_size: int
@@ -147,8 +143,7 @@ class ScanRow:
     deficiency: int
 
 
-@dataclass(frozen=True)
-class ScanTable:
+class ScanTable(NamedTuple):
     params: ModelParams
     m_max: int
     rows: tuple[ScanRow, ...]

@@ -12,13 +12,14 @@ modified small diagonal, and the Euler characteristic identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra import (
     ModelParams,
     TautClass,
+    _Validated,
     enumerate_basis,
     h_class,
     multiply,
@@ -30,37 +31,32 @@ from .grammar import format_class
 from .linalg import RationalMatrix, solve_linear
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(_Validated, namedtuple("Correspondence", "cls s t")):
     """Class on a product of s + t factors, read as a map from s factors to t."""
 
-    cls: TautClass
-    s: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.s < 0 or self.t < 0 or self.s + self.t < 1:
+    def __new__(_cls, cls: TautClass, s: int, t: int):
+        if s < 0 or t < 0 or s + t < 1:
             raise ValueError("source and target blocks must cover at least one factor")
-        if self.cls.m != self.s + self.t:
-            raise ValueError(f"class lives on {self.cls.m} factors, blocks cover {self.s + self.t}")
+        if cls.m != s + t:
+            raise ValueError(f"class lives on {cls.m} factors, blocks cover {s + t}")
+        return tuple.__new__(_cls, (cls, s, t))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CkReport:
+class CkReport(NamedTuple):
     params: ModelParams
     checks: tuple[CheckResult, ...]
     passed: bool
 
 
-@dataclass(frozen=True)
-class MckCase:
+class MckCase(NamedTuple):
     i: int
     j: int
     k: int
@@ -70,15 +66,13 @@ class MckCase:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class MckReport:
+class MckReport(NamedTuple):
     params: ModelParams
     cases: tuple[MckCase, ...]
     partition: tuple[CheckResult, ...]
     passed: bool
 
 
-@dataclass(frozen=True)
 class ProjectorSet:
     """Projectors indexed by even cohomological degree 0, 2, ..., 2n.
 
@@ -87,15 +81,16 @@ class ProjectorSet:
     checks, so deliberately broken sets can be built for testing.
     """
 
-    params: ModelParams
-    projectors: Mapping[int, Correspondence]
+    __slots__ = ("params", "projectors")
 
-    def __post_init__(self) -> None:
-        for k, corr in self.projectors.items():
-            if k % 2 or not 0 <= k <= 2 * self.params.n:
+    def __init__(self, params: ModelParams, projectors: Mapping[int, Correspondence]):
+        for k, corr in projectors.items():
+            if k % 2 or not 0 <= k <= 2 * params.n:
                 raise ValueError(f"projector index {k} must be even in [0, 2n]")
             if corr.s != 1 or corr.t != 1:
                 raise ValueError("projectors must map one factor to one factor")
+        self.params = params
+        self.projectors = projectors
 
     def indices(self) -> list[int]:
         return sorted(self.projectors)
@@ -104,8 +99,7 @@ class ProjectorSet:
         return self.projectors[k]
 
 
-@dataclass(frozen=True)
-class Gamma3Solution:
+class Gamma3Solution(NamedTuple):
     """Coefficients of the pure-polarization correction that cancels the
     small diagonal against its diagonal-times-point terms, plus the residual
     (zero exactly when the cancellation succeeds)."""
@@ -133,10 +127,23 @@ def compose(f: Correspondence, g: Correspondence, params: ModelParams) -> Corres
     multiply, push over the middle block."""
     if g.t != f.s:
         raise ValueError(f"block mismatch: g has target size {g.t}, f has source size {f.s}")
-    total = g.s + g.t + f.t
+    return _compose_lifted(f, _lift(f, g.s), g, params)
+
+
+def _lift(f: Correspondence, s: int) -> TautClass:
+    """f pulled back to s + f.s + f.t factors, onto the last f.s + f.t."""
+    total = s + f.s + f.t
+    return pullback(f.cls, total, tuple(range(s + 1, total + 1)))
+
+
+def _compose_lifted(
+    f: Correspondence, lifted: TautClass, g: Correspondence, params: ModelParams
+) -> Correspondence:
+    """compose(f, g) given lifted == _lift(f, g.s).  The lift depends on g
+    only through g.s, so one f composed with many such g is lifted once."""
+    total = lifted.m
     left = pullback(g.cls, total, tuple(range(1, g.s + g.t + 1)))
-    right = pullback(f.cls, total, tuple(range(g.s + 1, total + 1)))
-    product = multiply(left, right, params)
+    product = multiply(left, lifted, params)
     kept = list(range(1, g.s + 1)) + list(range(g.s + g.t + 1, total + 1))
     return Correspondence(pushforward(product, kept, params), g.s, f.t)
 
@@ -225,12 +232,13 @@ def verify_mck(params: ModelParams) -> MckReport:
     """
     ps = ck_projectors(params)
     sm = small_diagonal_correspondence(params)
+    sm_lifted = _lift(sm, 2)  # every pi^i x pi^j has two source factors
     indices = ps.indices()
     cases: list[MckCase] = []
     partition: list[CheckResult] = []
     for i in indices:
         for j in indices:
-            mij = compose(sm, tensor(ps[i], ps[j], params), params)
+            mij = _compose_lifted(sm, sm_lifted, tensor(ps[i], ps[j], params), params)
             ksum = TautClass.zero(3)
             for k in indices:
                 piece = compose(ps[k], mij, params)

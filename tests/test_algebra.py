@@ -48,6 +48,20 @@ def test_params_reject_float_delta():
     assert ModelParams(2, 8, 3, delta=Fraction(1, 2)).delta == Fraction(1, 2)
 
 
+def test_make_and_replace_validate():
+    # namedtuple builds these through tuple.__new__ unless routed through __new__
+    with pytest.raises(ValueError, match="float"):
+        ModelParams(n=2, d=8, b=3)._replace(delta=0.1)
+    with pytest.raises(ValueError, match="even"):
+        ModelParams._make((3, 8, 2, None))
+    assert ModelParams(2, 8, 3)._replace(b=5) == ModelParams(2, 8, 5, delta=2)
+    with pytest.raises(ValueError, match="distinct"):
+        TautMonomial._make((2, ((1, 1),), (), ()))
+    with pytest.raises(ValueError, match="out of range"):
+        TautMonomial(2)._replace(opoints=(3,))
+    assert TautMonomial._make((3, ((3, 1),), (), (2,))) == TautMonomial(3, ((1, 3),), (), (2,))
+
+
 def test_monomial_validation():
     with pytest.raises(ValueError):
         TautMonomial(2, pairs=((1, 1),))

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tautring
 from tautring.cli import main
 
 
@@ -134,6 +139,41 @@ def test_kimura_cap_exits_3(capsys):
     )
     assert code == 3
     assert json.loads(out)["status"] == "error"
+
+
+KIMURA_CAP_ERROR = "b=9 exceeds the cap 7 (9! terms)"
+KIMURA_HEADER = "b,delta,vanishing,crosscheck_ok,dual_count"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_kimura_cap_reports_in_every_format(capsys, fmt):
+    argv = ["kimura", "--n", "2", "--d", "8", "--b", "9", "--format", fmt, "--no-timing"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["status"] == "error"
+        assert report["results"] == {"error": KIMURA_CAP_ERROR}
+        jsonschema.validate(report, load_schema())
+    elif fmt == "csv":
+        assert out == KIMURA_HEADER + "\n"
+    else:
+        assert out.splitlines()[-3:] == [
+            KIMURA_HEADER.replace(",", "  "),
+            f"error: {KIMURA_CAP_ERROR}",
+            "status: error",
+        ]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Each command is its own process, so what `import tautring.cli` loads is
+    # paid on every run; dataclasses alone pulls in inspect, ast, dis and tokenize.
+    src = str(Path(tautring.__file__).resolve().parents[1])
+    code = "import sys, tautring.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -82,6 +82,13 @@ def test_compose_block_mismatch():
         compose(f, f, P)
 
 
+def test_correspondence_make_and_replace_validate():
+    with pytest.raises(ValueError, match="blocks cover"):
+        Correspondence._make((tau_class(2, 1, 2), 1, 2))
+    with pytest.raises(ValueError, match="blocks cover"):
+        _corr(tau_class(2, 1, 2))._replace(s=2)
+
+
 def test_projector_idempotence_and_orthogonality_examples():
     ps = ck_projectors(P)
     p0, p2n = ps[0], ps[2 * P.n]
