@@ -28,7 +28,9 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Fraction | int]], cols: int | None = None):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        entries = tuple(
+            tuple(x if x.__class__ is Fraction else Fraction(x) for x in row) for row in entries
+        )
         if entries:
             width = len(entries[0])
             if cols is not None and cols != width:
