@@ -242,6 +242,9 @@ def h_class(params: ModelParams, m: int, i: int, exp: int = 1) -> TautClass:
     return TautClass.zero(m)
 
 
+_ONE = Fraction(1)  # shared: most products have coefficient 1
+
+
 def _mul_monomials(
     a: TautMonomial, b: TautMonomial, params: ModelParams
 ) -> tuple[Fraction, TautMonomial] | None:
@@ -276,7 +279,6 @@ def _mul_monomials(
         if f in la:
             return None
 
-    coeff = Fraction(1)
     new_pairs: list[tuple[int, int]] = []
     new_o: list[int] = []
     cycles = 0
@@ -312,11 +314,10 @@ def _mul_monomials(
             use_a = not use_a
             if cur == v:
                 break
-    if cycles:
-        coeff *= params.delta**cycles
-        if not coeff:
-            return None
+    if cycles and not params.delta:
+        return None
 
+    scale = 1  # the powers of d, kept as an int until the end
     new_h: list[tuple[int, int]] = []
     for f in sorted(set(la) | set(lb)):
         s = la.get(f, 0) + lb.get(f, 0)
@@ -324,12 +325,14 @@ def _mul_monomials(
             return None
         if s == n:
             if f in la and f in lb:
-                coeff *= d  # h^x * h^(n-x) closes to d * o
+                scale *= d  # h^x * h^(n-x) closes to d * o
             new_o.append(f)
         else:
             new_h.append((f, s))
     mono = TautMonomial(a.m, tuple(new_pairs), tuple(new_h), tuple(new_o))
-    return coeff, mono
+    if cycles:
+        return params.delta**cycles * scale, mono
+    return (_ONE if scale == 1 else Fraction(scale)), mono
 
 
 def multiply(x: TautClass, y: TautClass, params: ModelParams) -> TautClass:

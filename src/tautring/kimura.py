@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple, Sequence
 
-from .algebra import ModelParams, TautClass, TautMonomial, basis_count
-from .calculus import gram, is_zero_in_cohomology, pair
+from .algebra import ModelParams, TautClass, TautMonomial, _local_count, _matchings, basis_count
+from .calculus import _mono_pairing, is_zero_in_cohomology, pair
+from .linalg import RationalMatrix, rank
 
 DEFAULT_B_CAP = 7
 DEFAULT_GRAM_CAP = 2000
@@ -149,35 +151,46 @@ class ScanTable(NamedTuple):
     rows: tuple[ScanRow, ...]
 
 
+def _matching_gram_rank(params: ModelParams, k: int) -> int:
+    """Rank r_k(delta) of the perfect-matching Gram matrix on 2k points,
+    whose (mu, nu) entry is delta^cycles(mu union nu)."""
+    points = tuple(range(1, 2 * k + 1))
+    monos = [TautMonomial(2 * k, pairs) for pairs in _matchings(points) if len(pairs) == k]
+    return rank(RationalMatrix([[_mono_pairing(a, b, params) for b in monos] for a in monos]))
+
+
 def scan_injectivity(
     params: ModelParams, m_max: int, cap_gram: int = DEFAULT_GRAM_CAP
 ) -> ScanTable:
     """Gram rank deficiencies for every power up to m_max and every codimension.
 
-    Raises ResourceLimitError carrying the partial table when a Gram
-    dimension exceeds the cap.
+    Every Gram block with k tau pairs is d^(h-pairs) times the matching
+    Gram matrix on 2k points, and there are C(m, 2k) * A(m - 2k, codim - nk)
+    such blocks, so the rank is a sum over k of block counts times r_k,
+    with each r_k eliminated once per call.  Raises ResourceLimitError
+    carrying the partial table when a Gram dimension exceeds the cap.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    n = params.n
+    ranks = {0: 1}  # r_k by k; a block without tau pairs is one nonzero entry
     rows: list[ScanRow] = []
     for m in range(1, m_max + 1):
-        for codim in range(m * params.n + 1):
+        for codim in range(m * n + 1):
             size = basis_count(params, m, codim)
-            dual_size = basis_count(params, m, m * params.n - codim)
+            dual_size = basis_count(params, m, m * n - codim)
             if max(size, dual_size) > cap_gram:
                 raise ResourceLimitError(
                     f"Gram dimension {max(size, dual_size)} at m={m}, codim={codim} "
                     f"exceeds the cap {cap_gram}",
                     partial=ScanTable(params=params, m_max=m_max, rows=tuple(rows)),
                 )
-            report = gram(params, m, codim)
-            rows.append(
-                ScanRow(
-                    m=m,
-                    codim=codim,
-                    basis_size=len(report.basis),
-                    rank=report.rank,
-                    deficiency=len(report.kernel_basis),
-                )
-            )
+            total = 0
+            for k in range(min(m // 2, codim // n) + 1):
+                blocks = comb(m, 2 * k) * _local_count(m - 2 * k, codim - n * k, n)
+                if blocks:
+                    if k not in ranks:  # (2k-1)!! <= size <= cap_gram here
+                        ranks[k] = _matching_gram_rank(params, k)
+                    total += blocks * ranks[k]
+            rows.append(ScanRow(m=m, codim=codim, basis_size=size, rank=total, deficiency=size - total))
     return ScanTable(params=params, m_max=m_max, rows=tuple(rows))

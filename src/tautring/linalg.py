@@ -140,6 +140,11 @@ def _rref(rows: list[list[int]], piv_cols: list[int]) -> list[list[Fraction]]:
     return reduced
 
 
+def rank(matrix: RationalMatrix) -> int:
+    """Exact rank of a rational matrix: the forward elimination alone."""
+    return len(_bareiss(_integer_rows(matrix.entries), matrix.cols, matrix.cols))
+
+
 def rank_kernel(matrix: RationalMatrix) -> tuple[int, list[Vector]]:
     """Exact rank and null-space basis of a rational matrix.
 

@@ -1,8 +1,10 @@
-"""Dense reference implementations of the Gram engine, kept as test oracles.
+"""Reference implementations kept as test oracles.
 
-These pair every basis monomial with every dual monomial and eliminate
-the whole matrix at once.  The library splits the same computation into
-blocks; the differential tests require both to agree exactly.
+The dense ones pair every basis monomial with every dual monomial and
+eliminate the whole matrix at once; the library splits the same
+computation into blocks.  `gram_scan` builds a full Gram report per
+cell where the library uses the closed-form block count.  The
+differential tests require each pair to agree exactly.
 """
 
 from __future__ import annotations
@@ -13,10 +15,15 @@ from fractions import Fraction
 from tautring import (
     ModelParams,
     RationalMatrix,
+    ResourceLimitError,
+    ScanRow,
+    ScanTable,
     TautClass,
     TautMonomial,
+    basis_count,
     class_codim,
     enumerate_basis,
+    gram,
     rank_kernel,
 )
 from tautring.calculus import _mono_pairing
@@ -58,3 +65,31 @@ def dense_is_zero_in_cohomology(x: TautClass, params: ModelParams) -> bool:
         if total:
             return False
     return True
+
+
+def gram_scan(params: ModelParams, m_max: int, cap_gram: int) -> ScanTable:
+    """The injectivity scan through one full Gram report per (m, codim)."""
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    rows: list[ScanRow] = []
+    for m in range(1, m_max + 1):
+        for codim in range(m * params.n + 1):
+            size = basis_count(params, m, codim)
+            dual_size = basis_count(params, m, m * params.n - codim)
+            if max(size, dual_size) > cap_gram:
+                raise ResourceLimitError(
+                    f"Gram dimension {max(size, dual_size)} at m={m}, codim={codim} "
+                    f"exceeds the cap {cap_gram}",
+                    partial=ScanTable(params=params, m_max=m_max, rows=tuple(rows)),
+                )
+            report = gram(params, m, codim)
+            rows.append(
+                ScanRow(
+                    m=m,
+                    codim=codim,
+                    basis_size=len(report.basis),
+                    rank=report.rank,
+                    deficiency=len(report.kernel_basis),
+                )
+            )
+    return ScanTable(params=params, m_max=m_max, rows=tuple(rows))

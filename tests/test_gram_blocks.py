@@ -1,12 +1,23 @@
-"""Differential tests: the block Gram engine against the dense oracles."""
+"""Differential tests: the block Gram engine against the dense oracles, and
+the closed-form scan against the scan through full Gram reports."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import pytest
 
-from tautring import ModelParams, TautClass, basis_count, enumerate_basis, gram, is_zero_in_cohomology
-from oracles import dense_gram, dense_is_zero_in_cohomology
+from tautring import (
+    ModelParams,
+    ResourceLimitError,
+    TautClass,
+    basis_count,
+    enumerate_basis,
+    gram,
+    is_zero_in_cohomology,
+    scan_injectivity,
+)
+from oracles import dense_gram, dense_is_zero_in_cohomology, gram_scan
 
 DELTAS = (None, Fraction(1, 2), Fraction(0))  # None: the model value b - 1
 
@@ -63,3 +74,21 @@ def test_blocks_are_perfect_matching_grams():
     assert sizes[-1] == 15
     assert all(len(block.rows) == len(block.cols) for block in report.blocks)
     assert sum(sizes) == len(report.basis)
+
+
+@pytest.mark.parametrize("delta", (None, 0, 1, -1, Fraction(1, 2), Fraction(2, 3), -3))
+@pytest.mark.parametrize("n, m_max", ((2, 6), (4, 5)))
+def test_closed_form_scan_matches_gram_oracle(n, m_max, delta):
+    params = ModelParams(n, 8, 3, delta=delta)
+    assert scan_injectivity(params, m_max, cap_gram=100000) == gram_scan(params, m_max, cap_gram=100000)
+
+
+@pytest.mark.parametrize("n, cap", ((2, 1), (2, 5), (2, 10), (2, 30), (2, 200), (4, 100)))
+def test_capped_scan_matches_gram_oracle(n, cap):
+    params = ModelParams(n, 8, 3)
+    with pytest.raises(ResourceLimitError) as got:
+        scan_injectivity(params, 6, cap_gram=cap)
+    with pytest.raises(ResourceLimitError) as want:
+        gram_scan(params, 6, cap_gram=cap)
+    assert str(got.value) == str(want.value)
+    assert got.value.partial == want.value.partial

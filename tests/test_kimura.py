@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -17,6 +18,7 @@ from tautring import (
     scan_injectivity,
     verify_kimura_vanishing,
 )
+from tautring.kimura import _matching_gram_rank
 
 P2 = ModelParams(2, 8, 2)
 P3 = ModelParams(2, 8, 3)
@@ -167,3 +169,21 @@ def test_scan_emits_partial_table_on_resource_limit():
 def test_scan_validates_m_max():
     with pytest.raises(ValueError):
         scan_injectivity(P2, 0)
+
+
+def test_matching_gram_ranks_follow_brauer_invariant_counts():
+    # for an integer loop value N the rank of the matching Gram matrix on 2k
+    # points is the dimension of the O(N)-invariants of the 2k-fold tensor
+    # power; a non-integer loop value leaves it nondegenerate
+    def ranks(delta, k_max):
+        params = ModelParams(2, 8, 3, delta=delta)
+        return [_matching_gram_rank(params, k) for k in range(k_max + 1)]
+
+    def matchings(k):
+        return prod(range(1, 2 * k, 2))
+
+    assert ranks(0, 4) == [1, 0, 0, 0, 0]
+    assert ranks(1, 4) == [1, 1, 1, 1, 1]
+    assert ranks(2, 4) == [1] + [comb(2 * k, k) // 2 for k in range(1, 5)] == [1, 1, 3, 10, 35]
+    assert ranks(3, 3) == [matchings(k) for k in range(4)]
+    assert ranks(Fraction(1, 2), 4) == [matchings(k) for k in range(5)] == [1, 1, 3, 15, 105]

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from tautring import RationalMatrix, rank_kernel, solve_linear
+from tautring import RationalMatrix, rank, rank_kernel, solve_linear
 
 
 def test_identity_has_full_rank_and_empty_kernel():
@@ -128,3 +128,40 @@ def test_solve_is_exact_when_consistent(matrix, data):
     solution = solve_linear(matrix, rhs)
     assert solution is not None
     assert matrix.matvec(solution) == rhs
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """Up to 5 x 5, empty shapes included, with some whole rows and columns zero."""
+    rows = draw(st.integers(min_value=0, max_value=5))
+    cols = draw(st.integers(min_value=0, max_value=5))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=4)))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=4)))
+    entries = [
+        [
+            Fraction(0)
+            if r in zero_rows or c in zero_cols
+            else Fraction(draw(small_entries), draw(st.integers(min_value=1, max_value=3)))
+            for c in range(cols)
+        ]
+        for r in range(rows)
+    ]
+    return RationalMatrix(entries, cols=cols)
+
+
+@given(matrices_with_zero_lines())
+@settings(max_examples=150)
+def test_rank_matches_rank_kernel(matrix):
+    assert rank(matrix) == rank_kernel(matrix)[0]
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @given(matrices_with_zero_lines())
+    @settings(max_examples=100, deadline=None)
+    def check(matrix):
+        values = [sympy.Rational(x.numerator, x.denominator) for row in matrix.entries for x in row]
+        assert rank(matrix) == sympy.Matrix(matrix.rows, matrix.cols, values).rank()
+
+    check()
