@@ -24,10 +24,10 @@ monomial basis.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import comb, prod
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 
 class _Validated:

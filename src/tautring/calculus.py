@@ -9,8 +9,9 @@ degree through exact ranks and kernels.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import (
     ModelParams,
@@ -123,16 +124,16 @@ def _block_key(mono: TautMonomial, n: int, complement: bool = False) -> tuple:
     return covered, degrees
 
 
-class GramBlock(NamedTuple):
+class GramBlock(namedtuple("GramBlock", "rows cols entries")):
     """One diagonal block of a Gram matrix: the basis positions `rows`, the
     dual positions `cols` (both ascending) and their pairing values."""
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    entries: RationalMatrix
+    __slots__ = ()
 
 
-class GramReport(NamedTuple):
+class GramReport(
+    namedtuple("GramReport", "params m codim basis dual_basis blocks rank kernel_basis")
+):
     """Pairing matrix of a codimension basis against its complementary basis.
 
     The pairing is block diagonal (see `_block_key`), so only the blocks
@@ -142,14 +143,7 @@ class GramReport(NamedTuple):
     with every dual monomial, so rank + len(kernel_basis) == len(basis).
     """
 
-    params: ModelParams
-    m: int
-    codim: int
-    basis: tuple[TautMonomial, ...]
-    dual_basis: tuple[TautMonomial, ...]
-    blocks: tuple[GramBlock, ...]
-    rank: int
-    kernel_basis: tuple[TautClass, ...]
+    __slots__ = ()
 
     @property
     def gram(self) -> RationalMatrix:
@@ -178,6 +172,9 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
     kernels, ordered by free column (a vector's last nonzero entry), are
     the canonical kernel of the whole matrix.
     """
+    top = m * params.n
+    if m >= 1 and not 0 <= codim <= top:  # enumerate_basis rejects m < 1
+        raise ValueError(f"codimension {codim} is not in 0..m*n = 0..{top}")
     basis = enumerate_basis(params, m, codim)
     dual = enumerate_basis(params, m, m * params.n - codim)
     dual_groups = _group(dual, params.n, complement=True)

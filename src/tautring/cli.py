@@ -11,9 +11,7 @@ runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 import time
 from fractions import Fraction
@@ -42,54 +40,41 @@ class UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--profile",
-        choices=["three-quadrics", "double-plane", "custom"],
-        default="custom",
-    )
-    common.add_argument("--n", type=int)
-    common.add_argument("--d", type=int)
-    common.add_argument("--b", type=int)
-    common.add_argument("--delta", help="loop value override, as p or p/q (test-only)")
-    common.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    common.add_argument("--no-timing", action="store_true")
+# Options as (flag, add_argument keywords); every subcommand takes _COMMON first.
+_COMMON = (
+    ("--profile", {"choices": ["three-quadrics", "double-plane", "custom"], "default": "custom"}),
+    ("--n", {"type": int}),
+    ("--d", {"type": int}),
+    ("--b", {"type": int}),
+    ("--delta", {"help": "loop value override, as p or p/q (test-only)"}),
+    ("--format", {"choices": ["json", "csv", "text"], "default": "text"}),
+    ("--no-timing", {"action": "store_true"}),
+)
+_M_CODIM = (("--m", {"type": int, "required": True}), ("--codim", {"type": int, "required": True}))
+_OPERANDS = (
+    ("x", {}),
+    ("y", {}),
+    ("--m", {"type": int}),
+    ("--normalize-input", {"action": argparse.BooleanOptionalAction, "default": True}),
+)
+_CAP_GRAM = ("--cap-gram", {"type": int, "default": DEFAULT_GRAM_CAP})
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.
+
+    The one-command parser is what `main` runs on; it names all the
+    subcommands in its usage line, so its errors read as the full one's.
+    """
     parser = argparse.ArgumentParser(prog="tautring", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("basis", parents=[common], help="enumerate a monomial basis")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--codim", type=int, required=True)
-
-    for name, helptext in (("mul", "multiply two classes"), ("pair", "intersection pairing")):
-        p = sub.add_parser(name, parents=[common], help=helptext)
-        p.add_argument("x")
-        p.add_argument("y")
-        p.add_argument("--m", type=int)
-        p.add_argument(
-            "--normalize-input", action=argparse.BooleanOptionalAction, default=True
-        )
-
-    p = sub.add_parser("gram", parents=[common], help="Gram matrix rank and kernel")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--codim", type=int, required=True)
-
-    sub.add_parser("verify-ck", parents=[common], help="projector axioms")
-    sub.add_parser("verify-mck", parents=[common], help="multiplicativity of the projectors")
-    sub.add_parser("lemma-ok", parents=[common], help="diagonal-times-h expansion")
-    sub.add_parser("gamma3", parents=[common], help="modified small diagonal solve")
-    sub.add_parser("euler", parents=[common], help="Euler characteristic identity")
-
-    p = sub.add_parser("kimura", parents=[common], help="alternating relation vanishing")
-    p.add_argument("--cap-b", type=int, default=DEFAULT_B_CAP)
-    p.add_argument("--cap-gram", type=int, default=DEFAULT_GRAM_CAP)
-
-    p = sub.add_parser("scan", parents=[common], help="injectivity scan of Gram deficiencies")
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--cap-gram", type=int, default=DEFAULT_GRAM_CAP)
-
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if command else None
+    )
+    for name in (command,) if command else COMMANDS:
+        helptext, options, _ = COMMANDS[name]
+        p = sub.add_parser(name, help=helptext)
+        for flag, kwargs in _COMMON + options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -280,18 +265,27 @@ def _cmd_scan(args, params):
     return "pass", inputs, results
 
 
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "mul": _cmd_mul,
-    "pair": _cmd_pair,
-    "gram": _cmd_gram,
-    "verify-ck": _cmd_verify_ck,
-    "verify-mck": _cmd_verify_mck,
-    "lemma-ok": _cmd_lemma_ok,
-    "gamma3": _cmd_gamma3,
-    "euler": _cmd_euler,
-    "kimura": _cmd_kimura,
-    "scan": _cmd_scan,
+# name -> (help, options after the common ones, handler), in the order of --help
+COMMANDS = {
+    "basis": ("enumerate a monomial basis", _M_CODIM, _cmd_basis),
+    "mul": ("multiply two classes", _OPERANDS, _cmd_mul),
+    "pair": ("intersection pairing", _OPERANDS, _cmd_pair),
+    "gram": ("Gram matrix rank and kernel", _M_CODIM, _cmd_gram),
+    "verify-ck": ("projector axioms", (), _cmd_verify_ck),
+    "verify-mck": ("multiplicativity of the projectors", (), _cmd_verify_mck),
+    "lemma-ok": ("diagonal-times-h expansion", (), _cmd_lemma_ok),
+    "gamma3": ("modified small diagonal solve", (), _cmd_gamma3),
+    "euler": ("Euler characteristic identity", (), _cmd_euler),
+    "kimura": (
+        "alternating relation vanishing",
+        (("--cap-b", {"type": int, "default": DEFAULT_B_CAP}), _CAP_GRAM),
+        _cmd_kimura,
+    ),
+    "scan": (
+        "injectivity scan of Gram deficiencies",
+        (("--m-max", {"type": int, "required": True}), _CAP_GRAM),
+        _cmd_scan,
+    ),
 }
 
 
@@ -392,6 +386,8 @@ def _render_text(report: dict) -> str:
 
 
 def _render_csv(report: dict) -> str:
+    import csv
+
     headers, rows = _tabular(report["command"], report["results"])
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -403,6 +399,8 @@ def _render_csv(report: dict) -> str:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     elif fmt == "csv":
         sys.stdout.write(_render_csv(report))
@@ -411,7 +409,9 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handler = _HANDLERS[args.command]
+    handler = COMMANDS[args.command][2]
     start = time.perf_counter()
     try:
         status, inputs, results = handler(args, params)

@@ -12,13 +12,13 @@ radical first appears.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import comb
-from typing import NamedTuple, Sequence
+from math import comb, factorial, prod
 
-from .algebra import ModelParams, TautClass, TautMonomial, _local_count, _matchings, basis_count
-from .calculus import _mono_pairing, is_zero_in_cohomology, pair
-from .linalg import RationalMatrix, rank
+from .algebra import ModelParams, TautClass, TautMonomial, _local_count, basis_count
+from .calculus import is_zero_in_cohomology, pair
 
 DEFAULT_B_CAP = 7
 DEFAULT_GRAM_CAP = 2000
@@ -51,11 +51,10 @@ def _sign(perm: Sequence[int]) -> int:
     return -1 if (len(perm) - _cycle_count(perm)) % 2 else 1
 
 
-class KimuraElement(NamedTuple):
+class KimuraElement(namedtuple("KimuraElement", "b cls")):
     """Alternating sum of block matchings on 2b factors; b! terms, signs +-1."""
 
-    b: int
-    cls: TautClass
+    __slots__ = ()
 
 
 def kimura_element(params: ModelParams, cap_b: int = DEFAULT_B_CAP) -> KimuraElement:
@@ -86,13 +85,10 @@ def falling_factorial_pairing(b: int, delta: Fraction | int, cap_b: int = DEFAUL
     return total
 
 
-class KimuraReport(NamedTuple):
-    params: ModelParams
-    b: int
-    delta: Fraction
-    vanishing: bool
-    crosscheck_ok: bool
-    dual_count: int
+class KimuraReport(
+    namedtuple("KimuraReport", "params b delta vanishing crosscheck_ok dual_count")
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -137,26 +133,56 @@ def verify_kimura_vanishing(
     )
 
 
-class ScanRow(NamedTuple):
-    m: int
-    codim: int
-    basis_size: int
-    rank: int
-    deficiency: int
+class ScanRow(namedtuple("ScanRow", "m codim basis_size rank deficiency")):
+    __slots__ = ()
 
 
-class ScanTable(NamedTuple):
-    params: ModelParams
-    m_max: int
-    rows: tuple[ScanRow, ...]
+class ScanTable(namedtuple("ScanTable", "params m_max rows")):
+    __slots__ = ()
+
+
+def _partitions(k: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of k with parts at most `largest`, largest part first."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def _doubled_shape_dimension(shape: tuple[int, ...]) -> int:
+    """f^(2 shape): standard tableaux of the shape with every row doubled,
+    by the hook-length formula."""
+    rows = [2 * part for part in shape]
+    heights = [sum(1 for row in rows if row > j) for j in range(rows[0])] if rows else []
+    hooks = prod(row - j + heights[j] - i - 1 for i, row in enumerate(rows) for j in range(row))
+    return factorial(sum(rows)) // hooks
+
+
+def _matching_eigenvalue(shape: tuple[int, ...], delta: Fraction) -> Fraction | int:
+    """The scalar by which the matching Gram matrix on 2k points acts on
+    S^(2 shape), for a partition `shape` of k: the product over its cells
+    (i, j), 0-based, of delta + 2j - i (Hanlon-Wales, J. Algebra 121,
+    1989; Macdonald, Symmetric Functions, ch. VII).  At the column shape
+    (1^b) it is the falling factorial delta (delta - 1) ... (delta - b + 1).
+    """
+    return prod(delta + 2 * j - i for i, part in enumerate(shape) for j in range(part))
 
 
 def _matching_gram_rank(params: ModelParams, k: int) -> int:
     """Rank r_k(delta) of the perfect-matching Gram matrix on 2k points,
-    whose (mu, nu) entry is delta^cycles(mu union nu)."""
-    points = tuple(range(1, 2 * k + 1))
-    monos = [TautMonomial(2 * k, pairs) for pairs in _matchings(points) if len(pairs) == k]
-    return rank(RationalMatrix([[_mono_pairing(a, b, params) for b in monos] for a in monos]))
+    whose (mu, nu) entry is delta^cycles(mu union nu).
+
+    The matchings span the sum of the S_2k-irreducibles S^(2 lambda) over
+    the partitions lambda of k, each once, and the matrix is a scalar on
+    each, so the rank adds up f^(2 lambda) over the nonzero scalars.
+    """
+    return sum(
+        _doubled_shape_dimension(shape)
+        for shape in _partitions(k, k)
+        if _matching_eigenvalue(shape, params.delta)
+    )
 
 
 def scan_injectivity(
@@ -167,29 +193,28 @@ def scan_injectivity(
     Every Gram block with k tau pairs is d^(h-pairs) times the matching
     Gram matrix on 2k points, and there are C(m, 2k) * A(m - 2k, codim - nk)
     such blocks, so the rank is a sum over k of block counts times r_k,
-    with each r_k eliminated once per call.  Raises ResourceLimitError
-    carrying the partial table when a Gram dimension exceeds the cap.
+    each r_k in closed form.  A cell's basis and dual basis have the same
+    size (local degrees e <-> n - e).  Raises ResourceLimitError carrying
+    the partial table when that size exceeds the cap.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     n = params.n
-    ranks = {0: 1}  # r_k by k; a block without tau pairs is one nonzero entry
+    ranks: dict[int, int] = {}
     rows: list[ScanRow] = []
     for m in range(1, m_max + 1):
         for codim in range(m * n + 1):
             size = basis_count(params, m, codim)
-            dual_size = basis_count(params, m, m * n - codim)
-            if max(size, dual_size) > cap_gram:
+            if size > cap_gram:
                 raise ResourceLimitError(
-                    f"Gram dimension {max(size, dual_size)} at m={m}, codim={codim} "
-                    f"exceeds the cap {cap_gram}",
+                    f"Gram dimension {size} at m={m}, codim={codim} exceeds the cap {cap_gram}",
                     partial=ScanTable(params=params, m_max=m_max, rows=tuple(rows)),
                 )
             total = 0
             for k in range(min(m // 2, codim // n) + 1):
                 blocks = comb(m, 2 * k) * _local_count(m - 2 * k, codim - n * k, n)
                 if blocks:
-                    if k not in ranks:  # (2k-1)!! <= size <= cap_gram here
+                    if k not in ranks:
                         ranks[k] = _matching_gram_rank(params, k)
                     total += blocks * ranks[k]
             rows.append(ScanRow(m=m, codim=codim, basis_size=size, rank=total, deficiency=size - total))

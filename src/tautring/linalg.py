@@ -11,9 +11,9 @@ for bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -138,11 +138,6 @@ def _rref(rows: list[list[int]], piv_cols: list[int]) -> list[list[Fraction]]:
             if f:
                 reduced[k] = [a - f * b for a, b in zip(reduced[k], reduced[i])]
     return reduced
-
-
-def rank(matrix: RationalMatrix) -> int:
-    """Exact rank of a rational matrix: the forward elimination alone."""
-    return len(_bareiss(_integer_rows(matrix.entries), matrix.cols, matrix.cols))
 
 
 def rank_kernel(matrix: RationalMatrix) -> tuple[int, list[Vector]]:

@@ -13,14 +13,13 @@ modified small diagonal, and the Euler characteristic identity.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, NamedTuple
 
 from .algebra import (
     ModelParams,
     TautClass,
     _Validated,
-    enumerate_basis,
     h_class,
     multiply,
     o_class,
@@ -28,7 +27,6 @@ from .algebra import (
 )
 from .calculus import integrate, pullback, pushforward
 from .grammar import format_class
-from .linalg import RationalMatrix, solve_linear
 
 
 class Correspondence(_Validated, namedtuple("Correspondence", "cls s t")):
@@ -44,33 +42,22 @@ class Correspondence(_Validated, namedtuple("Correspondence", "cls s t")):
         return tuple.__new__(_cls, (cls, s, t))
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
 
-class CkReport(NamedTuple):
-    params: ModelParams
-    checks: tuple[CheckResult, ...]
-    passed: bool
+class CkReport(namedtuple("CkReport", "params checks passed")):
+    __slots__ = ()
 
 
-class MckCase(NamedTuple):
-    i: int
-    j: int
-    k: int
-    required_zero: bool
-    is_zero: bool
-    ok: bool
-    detail: str = ""
+class MckCase(
+    namedtuple("MckCase", "i j k required_zero is_zero ok detail", defaults=("",))
+):
+    __slots__ = ()
 
 
-class MckReport(NamedTuple):
-    params: ModelParams
-    cases: tuple[MckCase, ...]
-    partition: tuple[CheckResult, ...]
-    passed: bool
+class MckReport(namedtuple("MckReport", "params cases partition passed")):
+    __slots__ = ()
 
 
 class ProjectorSet:
@@ -99,13 +86,12 @@ class ProjectorSet:
         return self.projectors[k]
 
 
-class Gamma3Solution(NamedTuple):
+class Gamma3Solution(namedtuple("Gamma3Solution", "coefficients residual")):
     """Coefficients of the pure-polarization correction that cancels the
     small diagonal against its diagonal-times-point terms, plus the residual
     (zero exactly when the cancellation succeeds)."""
 
-    coefficients: Mapping[tuple[int, int, int], Fraction]
-    residual: TautClass
+    __slots__ = ()
 
 
 def diagonal_class(params: ModelParams) -> TautClass:
@@ -296,7 +282,10 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
 
     Sets up  sm - (D_12 o_3 + D_13 o_2 + D_23 o_1) + sum a_ijk h1^i h2^j h3^k = 0
     over exponent triples i + j + k = 2n with each exponent at most n
-    (exponent n realized through o), and solves the exact linear system.
+    (exponent n realized through o).  Each h1^i h2^j h3^k is a single
+    monomial times a power of d, distinct for distinct triples, so a_ijk
+    is read off the gap's coefficient there; the system is solvable
+    exactly when that leaves no residual.
     """
     n = params.n
     diag = diagonal_class(params)
@@ -304,31 +293,19 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
     for (fi, fj), other in (((1, 2), 3), ((1, 3), 2), ((2, 3), 1)):
         term = multiply(pullback(diag, 3, (fi, fj)), o_class(3, other), params)
         gap = gap - term
-    exponents = [
-        (i, j, 2 * n - i - j)
-        for i in range(n + 1)
-        for j in range(n + 1)
-        if 0 <= 2 * n - i - j <= n
-    ]
-    exponents.sort()
-    columns: list[TautClass] = []
-    for i, j, k in exponents:
-        cls = multiply(h_class(params, 3, 1, i), h_class(params, 3, 2, j), params)
-        cls = multiply(cls, h_class(params, 3, 3, k), params)
-        columns.append(cls)
-    basis = enumerate_basis(params, 3, 2 * n)
-    matrix = RationalMatrix(
-        [[col.coefficient(mono) for col in columns] for mono in basis],
-        cols=len(columns),
-    )
-    rhs = [-gap.coefficient(mono) for mono in basis]
-    solution = solve_linear(matrix, rhs)
-    if solution is None:
-        raise ArithmeticError("no polarization polynomial cancels the small diagonal")
+    coefficients: dict[tuple[int, int, int], Fraction] = {}
     residual = gap
-    for value, col in zip(solution, columns):
-        residual = residual + col.scale(value)
-    coefficients = {exp: value for exp, value in zip(exponents, solution)}
+    for i in range(n + 1):
+        for j in range(n - i, n + 1):
+            k = 2 * n - i - j
+            cls = multiply(h_class(params, 3, 1, i), h_class(params, 3, 2, j), params)
+            cls = multiply(cls, h_class(params, 3, 3, k), params)
+            ((mono, scale),) = cls.terms.items()
+            value = -gap.coefficient(mono) / scale
+            coefficients[i, j, k] = value
+            residual = residual + cls.scale(value)
+    if not residual.is_zero:
+        raise ArithmeticError("no polarization polynomial cancels the small diagonal")
     return Gamma3Solution(coefficients=coefficients, residual=residual)
 
 

@@ -3,7 +3,10 @@
 The dense ones pair every basis monomial with every dual monomial and
 eliminate the whole matrix at once; the library splits the same
 computation into blocks.  `gram_scan` builds a full Gram report per
-cell where the library uses the closed-form block count.  The
+cell where the library uses the closed-form block count, and
+`_matching_gram_rank` eliminates the matching Gram matrix whose rank the
+library reads off its eigenvalues.  `solve_gamma3` solves the linear
+system whose solution the library reads off monomial by monomial.  The
 differential tests require each pair to agree exactly.
 """
 
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tautring import (
+    Gamma3Solution,
     ModelParams,
     RationalMatrix,
     ResourceLimitError,
@@ -24,9 +28,17 @@ from tautring import (
     class_codim,
     enumerate_basis,
     gram,
+    h_class,
+    multiply,
+    o_class,
+    pullback,
     rank_kernel,
+    solve_linear,
 )
+from tautring.algebra import _matchings
 from tautring.calculus import _mono_pairing
+from tautring.linalg import _bareiss, _integer_rows
+from tautring.motives import diagonal_class, small_diagonal
 
 
 @dataclass(frozen=True)
@@ -93,3 +105,44 @@ def gram_scan(params: ModelParams, m_max: int, cap_gram: int) -> ScanTable:
                 )
             )
     return ScanTable(params=params, m_max=m_max, rows=tuple(rows))
+
+
+def rank(matrix: RationalMatrix) -> int:
+    """Exact rank of a rational matrix: the forward elimination alone."""
+    return len(_bareiss(_integer_rows(matrix.entries), matrix.cols, matrix.cols))
+
+
+def _matching_gram_rank(params: ModelParams, k: int) -> int:
+    """Rank r_k(delta) of the perfect-matching Gram matrix on 2k points,
+    whose (mu, nu) entry is delta^cycles(mu union nu), by elimination."""
+    points = tuple(range(1, 2 * k + 1))
+    monos = [TautMonomial(2 * k, pairs) for pairs in _matchings(points) if len(pairs) == k]
+    return rank(RationalMatrix([[_mono_pairing(a, b, params) for b in monos] for a in monos]))
+
+
+def solve_gamma3(params: ModelParams) -> Gamma3Solution:
+    """The modified small diagonal through one exact linear solve over the
+    codimension-2n basis of the cube."""
+    n = params.n
+    diag = diagonal_class(params)
+    gap = small_diagonal(params)
+    for (fi, fj), other in (((1, 2), 3), ((1, 3), 2), ((2, 3), 1)):
+        gap = gap - multiply(pullback(diag, 3, (fi, fj)), o_class(3, other), params)
+    exponents = sorted(
+        (i, j, 2 * n - i - j) for i in range(n + 1) for j in range(n + 1) if 0 <= 2 * n - i - j <= n
+    )
+    columns = []
+    for i, j, k in exponents:
+        cls = multiply(h_class(params, 3, 1, i), h_class(params, 3, 2, j), params)
+        columns.append(multiply(cls, h_class(params, 3, 3, k), params))
+    basis = enumerate_basis(params, 3, 2 * n)
+    matrix = RationalMatrix(
+        [[col.coefficient(mono) for col in columns] for mono in basis], cols=len(columns)
+    )
+    solution = solve_linear(matrix, [-gap.coefficient(mono) for mono in basis])
+    if solution is None:
+        raise ArithmeticError("no polarization polynomial cancels the small diagonal")
+    residual = gap
+    for value, col in zip(solution, columns):
+        residual = residual + col.scale(value)
+    return Gamma3Solution(coefficients=dict(zip(exponents, solution)), residual=residual)

@@ -10,6 +10,7 @@ from tautring import (
     ModelParams,
     TautClass,
     TautMonomial,
+    basis_count,
     class_codim,
     enumerate_basis,
     h_class,
@@ -220,3 +221,13 @@ def test_normal_form_idempotence_on_random_monomials():
         mono = random_monomial(rng, rng.randint(1, 4), params.n)
         cls = TautClass.from_monomial(mono)
         assert multiply(cls, unit_class(mono.m), params) == cls
+
+
+@given(n=st.sampled_from((2, 4, 6)), m=st.integers(min_value=1, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_basis_count_is_symmetric_under_the_dual_codimension(n, m):
+    # local degrees e <-> n - e match the monomials of codim c and m*n - c,
+    # which is why the scan caps a cell by its basis size alone
+    params = ModelParams(n, 8, 3)
+    for codim in range(m * n + 1):
+        assert basis_count(params, m, codim) == basis_count(params, m, m * n - codim)

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import tautring
+from tautring import cli
 from tautring.cli import main
 
 
@@ -174,6 +175,60 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_cli_import_loads_every_layer_and_no_renderer_or_typing():
+    # the benchmark tracer reads every layer from sys.modules after this
+    # import; json and csv load only when a report is rendered in them
+    src = str(Path(tautring.__file__).resolve().parents[1])
+    code = (
+        "import sys, tautring.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('tautring', 'json', 'csv', 'typing')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    layers = ("algebra", "calculus", "cli", "grammar", "kimura", "linalg", "motives")
+    assert out == str(["tautring"] + [f"tautring.{layer}" for layer in layers]) + "\n"
+
+
+SMALL = ["--n", "2", "--d", "8", "--b", "3"]
+PARSE_CASES = (
+    [[name, "--help"] for name in cli.COMMANDS]
+    + [[name, "--n", "two"] for name in cli.COMMANDS]
+    + [[name, "--bogus", "--no-timing"] + SMALL for name in cli.COMMANDS]
+    + [
+        ["basis", "--codim", "2"] + SMALL,
+        ["gram", "--m", "2"] + SMALL,
+        ["mul", "t(1,2)"] + SMALL,
+        ["pair"] + SMALL,
+        ["scan"] + SMALL,
+        ["scan", "--m", "2", "--no-timing"] + SMALL,
+        ["kimura", "--cap-b", "many"] + SMALL,
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    one_command = run_cli(capsys, argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert run_cli(capsys, argv) == one_command
+
+
+def test_build_parser_without_a_command_lists_every_command():
+    full, scan_only = cli.build_parser().format_help(), cli.build_parser("scan").format_help()
+    for name, (helptext, _, _) in cli.COMMANDS.items():
+        assert helptext in full
+        assert (helptext in scan_only) == (name == "scan")
+
+
+def test_gram_codimension_out_of_range_is_named(capsys):
+    for codim in ("99", "-1"):
+        code, out, err = run_cli(capsys, ["gram", "--m", "2", "--codim", codim] + BASE)
+        assert code == 2 and out == ""
+        assert err == f"error: codimension {codim} is not in 0..m*n = 0..4\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -18,7 +18,8 @@ from tautring import (
     scan_injectivity,
     verify_kimura_vanishing,
 )
-from tautring.kimura import _matching_gram_rank
+from tautring.kimura import _matching_eigenvalue, _matching_gram_rank
+import oracles
 
 P2 = ModelParams(2, 8, 2)
 P3 = ModelParams(2, 8, 3)
@@ -187,3 +188,21 @@ def test_matching_gram_ranks_follow_brauer_invariant_counts():
     assert ranks(2, 4) == [1] + [comb(2 * k, k) // 2 for k in range(1, 5)] == [1, 1, 3, 10, 35]
     assert ranks(3, 3) == [matchings(k) for k in range(4)]
     assert ranks(Fraction(1, 2), 4) == [matchings(k) for k in range(5)] == [1, 1, 3, 15, 105]
+
+
+RANK_DELTAS = [Fraction(x) for x in (0, 1, -1, 2, 3, 4, -2, -3, -5)] + [
+    Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(7, 3)
+]
+
+
+@pytest.mark.parametrize("delta", RANK_DELTAS, ids=str)
+def test_closed_form_matching_rank_matches_elimination(delta):
+    params = ModelParams(2, 8, 3, delta=delta)
+    for k in range(5):
+        assert _matching_gram_rank(params, k) == oracles._matching_gram_rank(params, k)
+
+
+def test_column_shape_eigenvalue_is_the_falling_factorial():
+    for b in range(1, 6):
+        for delta in RANK_DELTAS:
+            assert _matching_eigenvalue((1,) * b, delta) == falling_factorial_pairing(b, delta)

@@ -33,6 +33,7 @@ from tautring import (
     verify_mck,
 )
 from strategies import classes
+import oracles
 
 P = ModelParams(2, 8, 3)
 P22 = ModelParams(2, 8, 22)
@@ -261,6 +262,30 @@ def test_solve_gamma3_n4_symmetric_with_known_values():
     for (i, j, k), value in coeffs.items():
         assert coeffs[(k, j, i)] == value
         assert coeffs[(j, i, k)] == value
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams(n, 8, 22) for n in (2, 4, 6, 8, 12)] + [DP],
+    ids=["n2", "n4", "n6", "n8", "n12", "double-plane"],
+)
+def test_solve_gamma3_matches_linear_solve(params):
+    solution, oracle = solve_gamma3(params), oracles.solve_gamma3(params)
+    assert list(solution.coefficients.items()) == list(oracle.coefficients.items())
+    assert solution.residual == oracle.residual
+
+
+def test_solve_gamma3_raises_when_no_polynomial_cancels(monkeypatch):
+    # a stray t(1,2)*o3 in the small diagonal is left over by every
+    # h-polynomial, and the linear solve finds no solution either
+    import tautring.motives as motives
+
+    stray = TautClass.from_monomial(TautMonomial(3, ((1, 2),), opoints=(3,)))
+    for module in (motives, oracles):
+        monkeypatch.setattr(module, "small_diagonal", lambda params: small_diagonal(params) + stray)
+    for solve in (solve_gamma3, oracles.solve_gamma3):
+        with pytest.raises(ArithmeticError):
+            solve(P)
 
 
 def test_euler_char_values():
