@@ -21,7 +21,6 @@ from .algebra import (
     _mul_monomials,
     class_codim,
     enumerate_basis,
-    multiply,
 )
 from .linalg import RationalMatrix, rank_kernel
 
@@ -66,32 +65,93 @@ def pushforward(x: TautClass, kept: Iterable[int], params: ModelParams) -> TautC
     edge with a dropped endpoint pushes to 0 because its diagonal part
     cancels against its top Kuenneth correction.
     """
-    kept_sorted = sorted(set(kept))
-    for f in kept_sorted:
-        if not 1 <= f <= x.m:
-            raise ValueError(f"kept factor {f} out of range 1..{x.m}")
-    dropped = set(range(1, x.m + 1)) - set(kept_sorted)
-    relabel = {f: i + 1 for i, f in enumerate(kept_sorted)}
+    relabel, dropped = _split(x.m, kept)
     acc: dict[TautMonomial, Fraction] = {}
     for mono, coeff in x.terms.items():
-        o_set = set(mono.opoints)
-        if not dropped <= o_set:
+        if not dropped <= set(mono.opoints):
             continue  # a dropped factor must carry o; anything else integrates to 0
-        moved = TautMonomial(
-            len(kept_sorted),
-            tuple((relabel[i], relabel[j]) for i, j in mono.pairs),
-            tuple((relabel[f], e) for f, e in mono.hpows),
-            tuple(relabel[f] for f in mono.opoints if f not in dropped),
-        )
+        moved = _moved(mono, relabel, dropped)
         acc[moved] = acc.get(moved, Fraction(0)) + coeff
-    return TautClass(len(kept_sorted), acc)
+    return TautClass(len(relabel), acc)
+
+
+def _split(m: int, kept: Iterable[int]) -> tuple[dict[int, int], set[int]]:
+    """The kept factors, each mapped to its place in order, and the dropped
+    ones; kept factors are checked against m."""
+    kept_sorted = sorted(set(kept))
+    for f in kept_sorted:
+        if not 1 <= f <= m:
+            raise ValueError(f"kept factor {f} out of range 1..{m}")
+    relabel = {f: i + 1 for i, f in enumerate(kept_sorted)}
+    return relabel, set(range(1, m + 1)) - set(relabel)
+
+
+def _moved(mono: TautMonomial, relabel: dict[int, int], dropped: set[int]) -> TautMonomial:
+    """A monomial with o on every dropped factor, pushed onto the kept ones."""
+    return TautMonomial(
+        len(relabel),
+        tuple((relabel[i], relabel[j]) for i, j in mono.pairs),
+        tuple((relabel[f], e) for f, e in mono.hpows),
+        tuple(relabel[f] for f in mono.opoints if f not in dropped),
+    )
+
+
+def _dropped_key(mono: TautMonomial, dropped: Sequence[int], n: int, complement: bool = False) -> tuple:
+    """Per dropped factor: -1 where a tau edge covers it, else its local
+    degree (0 unit, n point class), or n minus that with `complement`.
+
+    A term product carries o on a dropped factor exactly when both terms
+    cover it by tau (it lies inside a path or on a cycle), or neither does
+    and their local degrees sum to n.  So the product of an x term and a
+    y term survives a pushforward only when the x key equals the
+    complemented y key.
+    """
+    covered = {f for p in mono.pairs for f in p}
+    local = dict(mono.hpows)
+    local.update((f, n) for f in mono.opoints)
+    if complement:
+        return tuple(-1 if f in covered else n - local.get(f, 0) for f in dropped)
+    return tuple(-1 if f in covered else local.get(f, 0) for f in dropped)
+
+
+def push_products(
+    x: TautClass, ys: Iterable[TautClass], kept: Iterable[int], params: ModelParams
+) -> list[TautClass]:
+    """[pushforward(multiply(x, y), kept) for y in ys], forming only the
+    term products that survive the pushforward.
+
+    x's terms are grouped once by `_dropped_key`, and each y term is
+    multiplied only with the group under its complemented key.
+    """
+    relabel, dropped_set = _split(x.m, kept)
+    dropped = sorted(dropped_set)
+    n = params.n
+    groups: dict[tuple, list[tuple[TautMonomial, Fraction]]] = {}
+    for mono, coeff in x._terms.items():
+        groups.setdefault(_dropped_key(mono, dropped, n), []).append((mono, coeff))
+    out = []
+    for y in ys:
+        if x.m != y.m:
+            raise ValueError(f"factor count mismatch: {x.m} != {y.m}")
+        acc: dict[TautMonomial, Fraction] = {}
+        for mb, cb in y._terms.items():
+            for ma, ca in groups.get(_dropped_key(mb, dropped, n, complement=True), ()):
+                result = _mul_monomials(ma, mb, params)
+                if result is None:
+                    continue
+                coeff, mono = result
+                moved = _moved(mono, relabel, dropped_set)
+                coeff *= ca * cb
+                prev = acc.get(moved)
+                acc[moved] = coeff if prev is None else prev + coeff
+        out.append(TautClass(len(relabel), acc))
+    return out
 
 
 def pair(x: TautClass, y: TautClass, params: ModelParams) -> Fraction:
-    """Intersection pairing: integrate the product."""
-    if x.m != y.m:
-        raise ValueError(f"factor count mismatch: {x.m} != {y.m}")
-    return integrate(multiply(x, y, params), params)
+    """Intersection pairing: the product pushed to a point."""
+    (value,) = push_products(x, (y,), (), params)
+    return value.coefficient(TautMonomial(0))
 
 
 def _mono_pairing(a: TautMonomial, b: TautMonomial, params: ModelParams) -> Fraction:

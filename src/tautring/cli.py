@@ -10,13 +10,18 @@ runs.
 
 from __future__ import annotations
 
-import argparse
 import io
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .algebra import ModelParams, class_codim, enumerate_basis, multiply
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter built without the C accelerator
+    from json.encoder import py_encode_basestring_ascii as _quote
+
+from .algebra import ModelParams, basis_count, class_codim, enumerate_basis, multiply
 from .calculus import gram, pair, pullback
 from .grammar import ParseError, format_class, parse_class
 from .kimura import (
@@ -40,7 +45,11 @@ class UsageError(Exception):
     pass
 
 
+# Largest basis `basis` and `gram` build, checked against basis_count first.
+BASIS_CAP = 10**6
+
 # Options as (flag, add_argument keywords); every subcommand takes _COMMON first.
+# The action "negatable" is argparse.BooleanOptionalAction (--x / --no-x).
 _COMMON = (
     ("--profile", {"choices": ["three-quadrics", "double-plane", "custom"], "default": "custom"}),
     ("--n", {"type": int}),
@@ -55,7 +64,7 @@ _OPERANDS = (
     ("x", {}),
     ("y", {}),
     ("--m", {"type": int}),
-    ("--normalize-input", {"action": argparse.BooleanOptionalAction, "default": True}),
+    ("--normalize-input", {"action": "negatable", "default": True}),
 )
 _CAP_GRAM = ("--cap-gram", {"type": int, "default": DEFAULT_GRAM_CAP})
 
@@ -63,9 +72,12 @@ _CAP_GRAM = ("--cap-gram", {"type": int, "default": DEFAULT_GRAM_CAP})
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone.
 
-    The one-command parser is what `main` runs on; it names all the
-    subcommands in its usage line, so its errors read as the full one's.
+    `main` runs the one-command parser on what `_parse_table` declines; it
+    names all the subcommands in its usage line, so its errors read as the
+    full one's.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(prog="tautring", description=__doc__)
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if command else None
@@ -73,12 +85,76 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in (command,) if command else COMMANDS:
         helptext, options, _ = COMMANDS[name]
         p = sub.add_parser(name, help=helptext)
+        p.register("action", "negatable", argparse.BooleanOptionalAction)
         for flag, kwargs in _COMMON + options:
             p.add_argument(flag, **kwargs)
     return parser
 
 
-def _resolve_params(args: argparse.Namespace) -> ModelParams:
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a complete, well-formed argv, or None.
+
+    Read straight from the option table: an exact command name, exact
+    flags (the last of a repeated one wins, as in argparse), every value
+    the next token and not starting with '-', ints through int(), choices
+    and required options met, and exactly the command's positionals.
+    Everything else (help, --x=y, abbreviations, values starting with
+    '-', '--', every error) is left to argparse, so what it prints does
+    not change.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    flags: dict[str, tuple[str, dict]] = {}
+    positionals: list[str] = []
+    required: list[str] = []
+    for flag, kwargs in _COMMON + COMMANDS[argv[0]][1]:
+        dest = flag.lstrip("-").replace("-", "_")
+        if flag[0] != "-":
+            positionals.append(dest)
+            continue
+        action = kwargs.get("action")
+        values[dest] = kwargs.get("default", False if action == "store_true" else None)
+        flags[flag] = dest, kwargs
+        if action == "negatable":
+            flags["--no-" + flag[2:]] = dest, kwargs
+        if kwargs.get("required"):
+            required.append(dest)
+    seen: set[str] = set()
+    given: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            given.append(token)
+            continue
+        if token not in flags:
+            return None
+        dest, kwargs = flags[token]
+        seen.add(dest)
+        action = kwargs.get("action")
+        if action == "store_true":
+            values[dest] = True
+        elif action == "negatable":
+            values[dest] = not token.startswith("--no-")
+        else:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-":
+                return None
+            if kwargs.get("type") is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+            values[dest] = value
+    if len(given) != len(positionals) or not seen.issuperset(required):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
+def _resolve_params(args: SimpleNamespace) -> ModelParams:
     n, d, b = args.n, args.d, args.b
     if args.profile == "three-quadrics":
         if d not in (None, 8):
@@ -104,7 +180,19 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
     return ModelParams(n, d, b, delta)
 
 
+def _check_basis_cap(params, m, codim):
+    """Refuse a basis over BASIS_CAP monomials before building it; inputs
+    out of range are left to the library's own errors."""
+    if m >= 1 and 0 <= codim <= m * params.n:
+        size = basis_count(params, m, codim)
+        if size > BASIS_CAP:
+            raise ResourceLimitError(
+                f"basis at m={m}, codim={codim} has {size} monomials, over the cap {BASIS_CAP}"
+            )
+
+
 def _cmd_basis(args, params):
+    _check_basis_cap(params, args.m, args.codim)
     basis = enumerate_basis(params, args.m, args.codim)
     inputs = {"m": args.m, "codim": args.codim}
     results = {"count": len(basis), "monomials": [mono.canonical_str() for mono in basis]}
@@ -146,6 +234,7 @@ def _cmd_pair(args, params):
 
 
 def _cmd_gram(args, params):
+    _check_basis_cap(params, args.m, args.codim)
     report = gram(params, args.m, args.codim)
     inputs = {"m": args.m, "codim": args.codim}
     results = {
@@ -316,17 +405,16 @@ def _report_dict(command, params, inputs, results, status, timing_ms):
 
 
 def _tabular(command: str, results: dict) -> tuple[list[str], list[list]]:
+    # a run stopped by a cap has only its error to report
     if command == "basis":
-        return ["monomial"], [[m] for m in results["monomials"]]
+        return ["monomial"], [[m] for m in results.get("monomials", [])]
     if command == "mul":
         return ["product", "codim"], [[results["product"], results["codim"]]]
     if command == "pair":
         return ["value"], [[results["value"]]]
     if command == "gram":
-        return (
-            ["basis_size", "dual_size", "rank", "deficiency"],
-            [[results["basis_size"], results["dual_size"], results["rank"], results["deficiency"]]],
-        )
+        headers = ["basis_size", "dual_size", "rank", "deficiency"]
+        return headers, [] if "error" in results else [[results[h] for h in headers]]
     if command in ("verify-ck",):
         return ["name", "ok", "detail"], [[c["name"], c["ok"], c["detail"]] for c in results["checks"]]
     if command == "verify-mck":
@@ -350,7 +438,6 @@ def _tabular(command: str, results: dict) -> tuple[list[str], list[list]]:
         ]
     if command == "kimura":
         headers = ["b", "delta", "vanishing", "crosscheck_ok", "dual_count"]
-        # a run stopped by a cap has only its error to report
         return headers, [] if "error" in results else [[results[h] for h in headers]]
     if command == "scan":
         return (
@@ -397,11 +484,39 @@ def _render_csv(report: dict) -> str:
     return out.getvalue()
 
 
+# How json.dumps writes each scalar type a report holds (the float is timing_ms).
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _to_json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for a report: dicts with str keys,
+    lists, and the scalar types of _SCALARS."""
+    encode = _SCALARS.get(value.__class__)
+    if encode is not None:
+        return encode(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(key) + ": " + _to_json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_to_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"{value.__class__.__name__} is not a report value")
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        import json
-
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_to_json(report) + "\n")
     elif fmt == "csv":
         sys.stdout.write(_render_csv(report))
     else:
@@ -411,11 +526,13 @@ def _emit(report: dict, fmt: str) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (None, 0) else 2
+    args = _parse_table(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (None, 0) else 2
     try:
         params = _resolve_params(args)
     except (UsageError, ValueError) as exc:

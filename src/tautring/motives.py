@@ -25,7 +25,7 @@ from .algebra import (
     o_class,
     tau_class,
 )
-from .calculus import integrate, pullback, pushforward
+from .calculus import pair, pullback, push_products
 from .grammar import format_class
 
 
@@ -110,28 +110,16 @@ def diagonal(params: ModelParams) -> Correspondence:
 
 def compose(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:
     """Composition f o g (g applied first): pull to the triple product,
-    multiply, push over the middle block."""
+    multiply, push over the middle block (forming only the products that
+    survive the push)."""
     if g.t != f.s:
         raise ValueError(f"block mismatch: g has target size {g.t}, f has source size {f.s}")
-    return _compose_lifted(f, _lift(f, g.s), g, params)
-
-
-def _lift(f: Correspondence, s: int) -> TautClass:
-    """f pulled back to s + f.s + f.t factors, onto the last f.s + f.t."""
-    total = s + f.s + f.t
-    return pullback(f.cls, total, tuple(range(s + 1, total + 1)))
-
-
-def _compose_lifted(
-    f: Correspondence, lifted: TautClass, g: Correspondence, params: ModelParams
-) -> Correspondence:
-    """compose(f, g) given lifted == _lift(f, g.s).  The lift depends on g
-    only through g.s, so one f composed with many such g is lifted once."""
-    total = lifted.m
+    total = g.s + g.t + f.t
     left = pullback(g.cls, total, tuple(range(1, g.s + g.t + 1)))
-    product = multiply(left, lifted, params)
-    kept = list(range(1, g.s + 1)) + list(range(g.s + g.t + 1, total + 1))
-    return Correspondence(pushforward(product, kept, params), g.s, f.t)
+    right = pullback(f.cls, total, tuple(range(g.s + 1, total + 1)))
+    kept = (*range(1, g.s + 1), *range(g.s + g.t + 1, total + 1))
+    (cls,) = push_products(left, (right,), kept, params)
+    return Correspondence(cls, g.s, f.t)
 
 
 def transpose(f: Correspondence) -> Correspondence:
@@ -217,31 +205,35 @@ def verify_mck(params: ModelParams) -> MckReport:
     must add up to sm o (pi^i x pi^j).
     """
     ps = ck_projectors(params)
-    sm = small_diagonal_correspondence(params)
-    sm_lifted = _lift(sm, 2)  # every pi^i x pi^j has two source factors
     indices = ps.indices()
+    ijs = [(i, j) for i in indices for j in indices]
+    # Two batches of compositions, each grouping one operand's terms once:
+    # the small diagonal on factors 3-5 against every pi^i x pi^j on 1-4,
+    # pushed onto 1, 2, 5; then each result on 1-3 against every pi^k on
+    # 3-4, pushed onto 1, 2, 4.
+    tensors = [pullback(tensor(ps[i], ps[j], params).cls, 5, (1, 2, 3, 4)) for i, j in ijs]
+    mijs = push_products(pullback(small_diagonal(params), 5, (3, 4, 5)), tensors, (1, 2, 5), params)
+    pks = [pullback(ps[k].cls, 4, (3, 4)) for k in indices]
     cases: list[MckCase] = []
     partition: list[CheckResult] = []
-    for i in indices:
-        for j in indices:
-            mij = _compose_lifted(sm, sm_lifted, tensor(ps[i], ps[j], params), params)
-            ksum = TautClass.zero(3)
-            for k in indices:
-                piece = compose(ps[k], mij, params)
-                ksum = ksum + piece.cls
-                required = i + j != k
-                zero = piece.cls.is_zero
-                ok = zero or not required
-                detail = "" if ok else format_class(piece.cls, params)
-                cases.append(MckCase(i, j, k, required, zero, ok, detail))
-            ok = ksum == mij.cls
-            partition.append(
-                CheckResult(
-                    f"partition[{i},{j}]",
-                    ok,
-                    "" if ok else f"sum-over-k mismatch: {format_class(ksum - mij.cls, params)}",
-                )
+    for (i, j), mij in zip(ijs, mijs):
+        pieces = push_products(pullback(mij, 4, (1, 2, 3)), pks, (1, 2, 4), params)
+        ksum = TautClass.zero(3)
+        for k, piece in zip(indices, pieces):
+            ksum = ksum + piece
+            required = i + j != k
+            zero = piece.is_zero
+            ok = zero or not required
+            detail = "" if ok else format_class(piece, params)
+            cases.append(MckCase(i, j, k, required, zero, ok, detail))
+        ok = ksum == mij
+        partition.append(
+            CheckResult(
+                f"partition[{i},{j}]",
+                ok,
+                "" if ok else f"sum-over-k mismatch: {format_class(ksum - mij, params)}",
             )
+        )
     passed = all(c.ok for c in cases) and all(p.ok for p in partition)
     return MckReport(params=params, cases=tuple(cases), partition=tuple(partition), passed=passed)
 
@@ -252,8 +244,8 @@ def act(f: Correspondence, x: TautClass, params: ModelParams) -> TautClass:
         raise ValueError("act requires a correspondence with one source and one target factor")
     if x.m != 1:
         raise ValueError("act requires a class on a single factor")
-    product = multiply(f.cls, pullback(x, 2, (1,)), params)
-    return pushforward(product, (2,), params)
+    (image,) = push_products(f.cls, (pullback(x, 2, (1,)),), (2,), params)
+    return image
 
 
 def expand_diagonal_times_h(params: ModelParams, factor: int) -> TautClass:
@@ -312,4 +304,4 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
 def euler_char(params: ModelParams) -> Fraction:
     """Degree of the self-intersection of the diagonal; equals n + b."""
     diag = diagonal_class(params)
-    return integrate(multiply(diag, diag, params), params)
+    return pair(diag, diag, params)

@@ -6,8 +6,11 @@ computation into blocks.  `gram_scan` builds a full Gram report per
 cell where the library uses the closed-form block count, and
 `_matching_gram_rank` eliminates the matching Gram matrix whose rank the
 library reads off its eigenvalues.  `solve_gamma3` solves the linear
-system whose solution the library reads off monomial by monomial.  The
-differential tests require each pair to agree exactly.
+system whose solution the library reads off monomial by monomial.
+`compose` and `verify_mck` form every product on the triple product and
+then push forward, where the library forms only the products that
+survive the pushforward.  The differential tests require each pair to
+agree exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tautring import (
+    CheckResult,
+    Correspondence,
     Gamma3Solution,
+    MckCase,
+    MckReport,
     ModelParams,
     RationalMatrix,
     ResourceLimitError,
@@ -25,15 +32,20 @@ from tautring import (
     TautClass,
     TautMonomial,
     basis_count,
+    ck_projectors,
     class_codim,
+    format_class,
     enumerate_basis,
     gram,
     h_class,
     multiply,
     o_class,
     pullback,
+    pushforward,
     rank_kernel,
+    small_diagonal_correspondence,
     solve_linear,
+    tensor,
 )
 from tautring.algebra import _matchings
 from tautring.calculus import _mono_pairing
@@ -146,3 +158,43 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
     for value, col in zip(solution, columns):
         residual = residual + col.scale(value)
     return Gamma3Solution(coefficients=dict(zip(exponents, solution)), residual=residual)
+
+
+def compose(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:
+    """f o g: the whole product on the triple product, then the pushforward."""
+    total = g.s + g.t + f.t
+    left = pullback(g.cls, total, tuple(range(1, g.s + g.t + 1)))
+    right = pullback(f.cls, total, tuple(range(g.s + 1, total + 1)))
+    kept = list(range(1, g.s + 1)) + list(range(g.s + g.t + 1, total + 1))
+    return Correspondence(pushforward(multiply(left, right, params), kept, params), g.s, f.t)
+
+
+def verify_mck(params: ModelParams) -> MckReport:
+    """The multiplicativity check, one full composition at a time."""
+    ps = ck_projectors(params)
+    sm = small_diagonal_correspondence(params)
+    indices = ps.indices()
+    cases: list[MckCase] = []
+    partition: list[CheckResult] = []
+    for i in indices:
+        for j in indices:
+            mij = compose(sm, tensor(ps[i], ps[j], params), params)
+            ksum = TautClass.zero(3)
+            for k in indices:
+                piece = compose(ps[k], mij, params)
+                ksum = ksum + piece.cls
+                required = i + j != k
+                zero = piece.cls.is_zero
+                ok = zero or not required
+                detail = "" if ok else format_class(piece.cls, params)
+                cases.append(MckCase(i, j, k, required, zero, ok, detail))
+            ok = ksum == mij.cls
+            partition.append(
+                CheckResult(
+                    f"partition[{i},{j}]",
+                    ok,
+                    "" if ok else f"sum-over-k mismatch: {format_class(ksum - mij.cls, params)}",
+                )
+            )
+    passed = all(c.ok for c in cases) and all(p.ok for p in partition)
+    return MckReport(params=params, cases=tuple(cases), partition=tuple(partition), passed=passed)

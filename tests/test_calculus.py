@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -21,6 +22,7 @@ from tautring import (
     o_class,
     pair,
     pullback,
+    push_products,
     pushforward,
     solve_linear,
     tau_class,
@@ -197,3 +199,27 @@ def test_mono_pairing_agrees_with_integrate_multiply():
             TautClass.from_monomial(a), TautClass.from_monomial(b), params
         )
         assert direct == definitional
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_push_products_matches_pushforward_of_each_product(data):
+    n = data.draw(st.sampled_from((2, 4)))
+    delta = data.draw(st.sampled_from((2, 0, Fraction(1, 2))))  # b - 1, 0, 1/2
+    params = ModelParams(n, 8, 3, delta)
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    x = data.draw(classes(m, n, max_terms=5))
+    ys = data.draw(st.lists(classes(m, n, max_terms=5), max_size=3))
+    for size in range(m + 1):
+        for kept in combinations(range(1, m + 1), size):
+            expected = [pushforward(multiply(x, y, params), kept, params) for y in ys]
+            assert push_products(x, ys, kept, params) == expected
+    for y in ys:
+        assert pair(x, y, params) == integrate(multiply(x, y, params), params)
+
+
+def test_push_products_validates_its_operands():
+    with pytest.raises(ValueError, match="factor count mismatch"):
+        push_products(unit_class(2), [unit_class(3)], (1,), P)
+    with pytest.raises(ValueError, match="kept factor 3 out of range"):
+        push_products(unit_class(2), [unit_class(2)], (3,), P)

@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 import tautring
 from tautring import cli
@@ -179,17 +184,24 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 def test_cli_import_loads_every_layer_and_no_renderer_or_typing():
     # the benchmark tracer reads every layer from sys.modules after this
-    # import; json and csv load only when a report is rendered in them
+    # import; csv loads only when a report is rendered in it, and argparse
+    # (with gettext) only for help and usage errors.  A well-formed command
+    # needs neither, and JSON is written without the json package.
     src = str(Path(tautring.__file__).resolve().parents[1])
     code = (
-        "import sys, tautring.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('tautring', 'json', 'csv', 'typing')))"
+        "import sys, tautring.cli\n"
+        "roots = ('tautring', 'json', 'csv', 'typing', 'argparse', 'gettext')\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
+        "before = loaded()\n"
+        "tautring.cli.main(['euler', '--n', '2', '--d', '8', '--b', '3', '--format', 'json'])\n"
+        "print(before, loaded(), sep='\\n')\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     layers = ("algebra", "calculus", "cli", "grammar", "kimura", "linalg", "motives")
-    assert out == str(["tautring"] + [f"tautring.{layer}" for layer in layers]) + "\n"
+    expected = str(["tautring"] + [f"tautring.{layer}" for layer in layers])
+    assert out.splitlines()[-2:] == [expected, expected]
 
 
 SMALL = ["--n", "2", "--d", "8", "--b", "3"]
@@ -271,3 +283,180 @@ def test_double_plane_profile_defaults(capsys):
     report = json.loads(out)
     assert report["params"]["n"] == 2 and report["params"]["d"] == 2
     assert report["results"]["value"] == "46"
+
+
+BASIS_CAP_ERROR = "basis at m=14, codim=14 has 149487040 monomials, over the cap 1000000"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "command, header", [("basis", "monomial"), ("gram", "basis_size,dual_size,rank,deficiency")]
+)
+def test_basis_cap_reports_in_every_format(capsys, command, header, fmt):
+    argv = [command, "--m", "14", "--codim", "14", "--format", fmt] + BASE
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["status"] == "error"
+        assert report["inputs"] == {"m": 14, "codim": 14}
+        assert report["results"] == {"error": BASIS_CAP_ERROR}
+        jsonschema.validate(report, load_schema())
+    elif fmt == "csv":
+        assert out == header + "\n"
+    else:
+        assert out.splitlines()[-3:] == [
+            header.replace(",", "  "),
+            f"error: {BASIS_CAP_ERROR}",
+            "status: error",
+        ]
+
+
+def test_basis_cap_is_checked_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "BASIS_CAP", 5)
+    code, out, _ = run_cli(capsys, ["gram", "--m", "2", "--codim", "2", "--format", "json"] + BASE)
+    assert code == 0 and json.loads(out)["results"]["basis_size"] == 4
+    code, out, _ = run_cli(capsys, ["basis", "--m", "3", "--codim", "2", "--format", "json"] + BASE)
+    assert code == 3
+    assert json.loads(out)["results"]["error"] == (
+        "basis at m=3, codim=2 has 9 monomials, over the cap 5"
+    )
+
+
+# Every value type a report holds; the float is timing_ms.
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(value=REPORT_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_refuses_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        cli._to_json({"value": object()})
+
+
+@pytest.mark.parametrize("verb", ["mul", "pair"])
+@pytest.mark.parametrize("x", ["t(1,2)\t", "\u3000t(1,2)\n", "t(\u0661,2)", "\x1ct(1,2)\x1f"])
+def test_json_reports_of_unusual_operands_match_json_dumps(capsys, verb, x):
+    # timing is kept, so the float timing_ms is written too
+    code, out, _ = run_cli(capsys, [verb, x, "t(1,2)", "--format", "json"] + SMALL)
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["x"] == x and "timing_ms" in report
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except Exception as exc:  # argparse reads --delta=-- as [], which Fraction rejects
+            code = repr(exc)
+    return code, out.getvalue(), err.getvalue()
+
+
+_INTS = ("0", "1", "2", "3", "-1", "-2", "+2", " 2", "two", "2.0", "")
+_TEXT = ("t(1,2)", "o1", "1", "-7/3", "1/2", "-", "--", "-h", "--help", "--bogus", "")
+
+
+@st.composite
+def _pieces(draw, options):
+    """One to two argv tokens built from a command's options: a flag and a
+    value (good or bad), a flag alone, --flag=value, an abbreviated flag, a
+    stray positional, or help and other dashes."""
+    flag, kwargs = draw(st.sampled_from(options))
+    values = tuple(kwargs.get("choices", ())) + (_INTS if kwargs.get("type") is int else _TEXT)
+    value = draw(st.sampled_from(values + _INTS + _TEXT))
+    kind = draw(st.integers(min_value=0, max_value=5))
+    if kind == 0 or flag[0] != "-":
+        return [flag, value]
+    if kind == 1:
+        return [flag]
+    if kind == 2:
+        return [f"{flag}={value}"]
+    if kind == 3:
+        return [flag[: draw(st.integers(min_value=1, max_value=len(flag) - 1))], value]
+    if kind == 4:
+        return [value]
+    return [draw(st.sampled_from(("-h", "--help", "--", "--no-timing", "--no-normalize-input")))]
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly well-formed argv for one command, with a few pieces that may
+    break it: every option gets a good value, some are dropped, random
+    pieces are added, and the order is shuffled."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    options = cli._COMMON + cli.COMMANDS[name][1]
+    good = {"--n": "2", "--d": "8", "--b": "3", "--m": "2", "--codim": "2", "--m-max": "2",
+            "--cap-gram": "100", "--cap-b": "3", "--profile": "custom", "--format": "json"}
+    pieces = [["--no-timing"]]
+    for flag, kwargs in options:
+        if flag[0] != "-":
+            pieces.append([draw(st.sampled_from(("t(1,2)", "o1*h2", "1", "-1", "h1^2")))])
+        elif flag in good and draw(st.integers(min_value=0, max_value=5)):
+            pieces.append([flag, good[flag]])
+    pieces += draw(st.lists(_pieces(options), max_size=3))
+    return [name] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@given(argv=_argvs())
+@settings(max_examples=250, deadline=None)
+def test_table_parser_agrees_with_argparse(argv):
+    table = cli._parse_table(argv)
+    if table is not None:
+        assert vars(table) == vars(cli.build_parser(argv[0]).parse_args(argv))
+    # whether the table accepts or declines, main answers as it does through argparse alone
+    with mock.patch.object(cli, "_parse_table", lambda argv: None):
+        expected = _main_output(argv)
+    assert _main_output(argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["euler", "--no-timing"] + SMALL,
+        ["mul", "t(1,2)", "--m", "3", "o3", "--no-normalize-input"] + SMALL,
+        ["scan", "--m-max", "2", "--format", "csv", "--cap-gram", "7", "--profile", "custom"] + SMALL,
+        ["verify-mck", "--profile", "double-plane", "--b", "4", "--delta", "1/2"],
+        ["euler", "--n", "4", "--n", "2", "--d", "8", "--b", "3", "--format", "csv", "--format", "text"],
+    ],
+    ids=" ".join,
+)
+def test_table_parser_accepts_well_formed_argv(argv):
+    table = cli._parse_table(argv)
+    assert table is not None
+    assert vars(table) == vars(cli.build_parser(argv[0]).parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["euler", "--delta=-7/3"] + SMALL,  # --x=y
+        ["euler", "--delta", "-7/3"] + SMALL,  # a value starting with '-'
+        ["euler", "--n", "-2", "--d", "8", "--b", "3"],
+        ["scan", "--m", "2"] + SMALL,  # an abbreviation of --m-max
+        ["euler", "--no-timing", "--"] + SMALL,
+        ["euler", "-h"],
+        ["mul", "t(1,2)"] + SMALL,
+        ["mul", "t(1,2)", "1", "1"] + SMALL,
+        ["scan", "--m-max", "x"] + SMALL,
+        ["euler", "--format", "yaml"] + SMALL,
+        ["euler", "--b"],
+        ["basis", "--m", "2"] + SMALL,
+        ["eul"] + SMALL,
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "(empty)",
+)
+def test_table_parser_leaves_the_rest_to_argparse(argv):
+    assert cli._parse_table(argv) is None

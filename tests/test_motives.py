@@ -33,6 +33,7 @@ from tautring import (
     verify_mck,
 )
 from strategies import classes
+from tautring import motives
 import oracles
 
 P = ModelParams(2, 8, 3)
@@ -192,6 +193,29 @@ def test_verify_mck_passes():
     for case in report.cases:
         if case.i + case.j != case.k:
             assert case.is_zero
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams(n, 8, 22) for n in (2, 4, 6, 8)]
+    + [DP, ModelParams(2, 8, 22, 5), ModelParams(4, 8, 3, Fraction(1, 2))],
+    ids=lambda p: f"n{p.n}d{p.d}delta{p.delta}",
+)
+def test_verify_mck_matches_full_compositions(params):
+    assert verify_mck(params) == oracles.verify_mck(params)
+
+
+def test_verify_mck_matches_full_compositions_when_it_fails(monkeypatch):
+    def broken(params):  # the whole diagonal as the middle projector
+        projectors = dict(ck_projectors(params).projectors)
+        projectors[params.n] = diagonal(params)
+        return ProjectorSet(params, projectors)
+
+    monkeypatch.setattr(motives, "ck_projectors", broken)
+    monkeypatch.setattr(oracles, "ck_projectors", broken)
+    report = verify_mck(P4)
+    assert any(c.detail for c in report.cases) and any(p.detail for p in report.partition)
+    assert report == oracles.verify_mck(P4)
 
 
 def test_act_reproduces_grading():
