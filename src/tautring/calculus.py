@@ -96,7 +96,9 @@ def _moved(mono: TautMonomial, relabel: dict[int, int], dropped: set[int]) -> Ta
     )
 
 
-def _dropped_key(mono: TautMonomial, dropped: Sequence[int], n: int, complement: bool = False) -> tuple:
+def _dropped_key(
+    mono: TautMonomial, dropped: Sequence[int], n: int, complement: bool = False
+) -> tuple:
     """Per dropped factor: -1 where a tau edge covers it, else its local
     degree (0 unit, n point class), or n minus that with `complement`.
 
