@@ -4,6 +4,8 @@ correspondence calculus with projector verifiers, alternating-relation
 combinatorics, and Gram-matrix injectivity scans, all over exact
 rational arithmetic."""
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     ModelParams,
     TautClass,
@@ -68,62 +70,6 @@ from .motives import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelParams",
-    "TautClass",
-    "TautMonomial",
-    "basis_count",
-    "class_codim",
-    "enumerate_basis",
-    "h_class",
-    "monomial_codim",
-    "multiply",
-    "o_class",
-    "tau_class",
-    "unit_class",
-    "GramBlock",
-    "GramReport",
-    "gram",
-    "integrate",
-    "is_zero_in_cohomology",
-    "pair",
-    "pullback",
-    "push_products",
-    "pushforward",
-    "ParseError",
-    "format_class",
-    "parse_class",
-    "KimuraElement",
-    "KimuraReport",
-    "ResourceLimitError",
-    "ScanRow",
-    "ScanTable",
-    "falling_factorial_pairing",
-    "kimura_element",
-    "scan_injectivity",
-    "verify_kimura_vanishing",
-    "RationalMatrix",
-    "rank_kernel",
-    "solve_linear",
-    "CheckResult",
-    "CkReport",
-    "Correspondence",
-    "Gamma3Solution",
-    "MckCase",
-    "MckReport",
-    "ProjectorSet",
-    "act",
-    "ck_projectors",
-    "compose",
-    "diagonal",
-    "diagonal_class",
-    "euler_char",
-    "expand_diagonal_times_h",
-    "small_diagonal",
-    "small_diagonal_correspondence",
-    "solve_gamma3",
-    "tensor",
-    "transpose",
-    "verify_ck",
-    "verify_mck",
-]
+# the public API is every name imported above
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -83,7 +83,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if command else None
     )
     for name in (command,) if command else COMMANDS:
-        helptext, options, _ = COMMANDS[name]
+        helptext, options = COMMANDS[name][:2]
         p = sub.add_parser(name, help=helptext)
         p.register("action", "negatable", argparse.BooleanOptionalAction)
         for flag, kwargs in _COMMON + options:
@@ -177,6 +177,8 @@ def _resolve_params(args: SimpleNamespace) -> ModelParams:
         delta = Fraction(args.delta) if args.delta is not None else None
     except ZeroDivisionError:
         raise UsageError(f"--delta {args.delta} has a zero denominator") from None
+    except TypeError:  # argparse reads --delta=-- as []
+        raise UsageError("--delta needs a value, as p or p/q") from None
     return ModelParams(n, d, b, delta)
 
 
@@ -194,15 +196,15 @@ def _check_basis_cap(params, m, codim):
 def _cmd_basis(args, params):
     _check_basis_cap(params, args.m, args.codim)
     basis = enumerate_basis(params, args.m, args.codim)
-    inputs = {"m": args.m, "codim": args.codim}
-    results = {"count": len(basis), "monomials": [mono.canonical_str() for mono in basis]}
-    return "pass", inputs, results
+    return "pass", {"count": len(basis), "monomials": [mono.canonical_str() for mono in basis]}
 
 
 def _parse_operands(args, params):
+    """Both operands on a common number of factors, which becomes args.m
+    (and so the m of the report's inputs)."""
     x = parse_class(args.x, params, m=args.m, normalize=args.normalize_input)
     y = parse_class(args.y, params, m=args.m, normalize=args.normalize_input)
-    m = max(x.m, y.m)
+    args.m = m = max(x.m, y.m)
     if x.m < m:
         x = pullback(x, m, tuple(range(1, x.m + 1)))
     if y.m < m:
@@ -217,26 +219,17 @@ def _cmd_mul(args, params):
         codim = class_codim(product, params)
     except ValueError:
         codim = None
-    inputs = {"x": args.x, "y": args.y, "m": x.m}
-    results = {
-        "product": format_class(product, params),
-        "codim": codim,
-    }
-    return "pass", inputs, results
+    return "pass", {"product": format_class(product, params), "codim": codim}
 
 
 def _cmd_pair(args, params):
     x, y = _parse_operands(args, params)
-    value = pair(x, y, params)
-    inputs = {"x": args.x, "y": args.y, "m": x.m}
-    results = {"value": str(value)}
-    return "pass", inputs, results
+    return "pass", {"value": str(pair(x, y, params))}
 
 
 def _cmd_gram(args, params):
     _check_basis_cap(params, args.m, args.codim)
     report = gram(params, args.m, args.codim)
-    inputs = {"m": args.m, "codim": args.codim}
     results = {
         "basis_size": len(report.basis),
         "dual_size": len(report.dual_basis),
@@ -245,37 +238,24 @@ def _cmd_gram(args, params):
         "basis": [mono.canonical_str() for mono in report.basis],
         "kernel": [format_class(cls, params) for cls in report.kernel_basis],
     }
-    return "pass", inputs, results
+    return "pass", results
 
 
 def _cmd_verify_ck(args, params):
     report = verify_ck(ck_projectors(params))
-    results = {
-        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks],
-        "passed": report.passed,
-    }
-    return ("pass" if report.passed else "fail"), {}, results
+    results = {"checks": [c._asdict() for c in report.checks], "passed": report.passed}
+    return ("pass" if report.passed else "fail"), results
 
 
 def _cmd_verify_mck(args, params):
     report = verify_mck(params)
+    keys = ("i", "j", "k", "required_zero", "zero", "ok", "detail")  # MckCase's fields
     results = {
-        "cases": [
-            {
-                "i": c.i,
-                "j": c.j,
-                "k": c.k,
-                "required_zero": c.required_zero,
-                "zero": c.is_zero,
-                "ok": c.ok,
-                "detail": c.detail,
-            }
-            for c in report.cases
-        ],
-        "partition": [{"name": p.name, "ok": p.ok, "detail": p.detail} for p in report.partition],
+        "cases": [dict(zip(keys, case)) for case in report.cases],
+        "partition": [p._asdict() for p in report.partition],
         "passed": report.passed,
     }
-    return ("pass" if report.passed else "fail"), {}, results
+    return ("pass" if report.passed else "fail"), results
 
 
 def _cmd_lemma_ok(args, params):
@@ -291,7 +271,7 @@ def _cmd_lemma_ok(args, params):
             checks.append({"factor": factor, "equal": False, "class": str(exc)})
             passed = False
     results = {"checks": checks, "passed": passed}
-    return ("pass" if passed else "fail"), {}, results
+    return ("pass" if passed else "fail"), results
 
 
 def _cmd_gamma3(args, params):
@@ -311,84 +291,64 @@ def _cmd_gamma3(args, params):
         "symmetric": symmetric,
     }
     passed = residual_zero and symmetric
-    return ("pass" if passed else "fail"), {}, results
+    return ("pass" if passed else "fail"), results
 
 
 def _cmd_euler(args, params):
     value = euler_char(params)
     expected = Fraction(params.n + params.b)
     results = {"value": str(value), "expected": str(expected), "match": value == expected}
-    return ("pass" if value == expected else "fail"), {}, results
+    return ("pass" if value == expected else "fail"), results
 
 
 def _cmd_kimura(args, params):
     report = verify_kimura_vanishing(params, cap_b=args.cap_b, cap_gram=args.cap_gram)
-    inputs = {"cap_b": args.cap_b, "cap_gram": args.cap_gram}
-    results = {
-        "b": report.b,
-        "delta": str(report.delta),
-        "vanishing": report.vanishing,
-        "crosscheck_ok": report.crosscheck_ok,
-        "dual_count": report.dual_count,
-    }
-    return ("pass" if report.passed else "fail"), inputs, results
-
-
-def _scan_rows_payload(table) -> list[dict]:
-    return [
-        {
-            "m": row.m,
-            "codim": row.codim,
-            "basis_size": row.basis_size,
-            "rank": row.rank,
-            "deficiency": row.deficiency,
-        }
-        for row in table.rows
-    ]
+    results = report._asdict()
+    del results["params"]
+    results["delta"] = str(report.delta)
+    return ("pass" if report.passed else "fail"), results
 
 
 def _cmd_scan(args, params):
     table = scan_injectivity(params, args.m_max, cap_gram=args.cap_gram)
-    inputs = {"m_max": args.m_max, "cap_gram": args.cap_gram}
-    results = {"rows": _scan_rows_payload(table)}
-    return "pass", inputs, results
+    return "pass", {"rows": [row._asdict() for row in table.rows]}
 
 
-# name -> (help, options after the common ones, handler), in the order of --help
+# name -> (help, options after the common ones, handler, table columns,
+# table records), in the order of --help.  A handler returns (status,
+# results); _table reads the text and CSV rows from the results.
 COMMANDS = {
-    "basis": ("enumerate a monomial basis", _M_CODIM, _cmd_basis),
-    "mul": ("multiply two classes", _OPERANDS, _cmd_mul),
-    "pair": ("intersection pairing", _OPERANDS, _cmd_pair),
-    "gram": ("Gram matrix rank and kernel", _M_CODIM, _cmd_gram),
-    "verify-ck": ("projector axioms", (), _cmd_verify_ck),
-    "verify-mck": ("multiplicativity of the projectors", (), _cmd_verify_mck),
-    "lemma-ok": ("diagonal-times-h expansion", (), _cmd_lemma_ok),
-    "gamma3": ("modified small diagonal solve", (), _cmd_gamma3),
-    "euler": ("Euler characteristic identity", (), _cmd_euler),
-    "kimura": (
-        "alternating relation vanishing",
-        (("--cap-b", {"type": int, "default": DEFAULT_B_CAP}), _CAP_GRAM),
-        _cmd_kimura,
-    ),
-    "scan": (
-        "injectivity scan of Gram deficiencies",
-        (("--m-max", {"type": int, "required": True}), _CAP_GRAM),
-        _cmd_scan,
-    ),
+    "basis": ("enumerate a monomial basis", _M_CODIM, _cmd_basis, ("monomial",), "monomials"),
+    "mul": ("multiply two classes", _OPERANDS, _cmd_mul, ("product", "codim"), None),
+    "pair": ("intersection pairing", _OPERANDS, _cmd_pair, ("value",), None),
+    "gram": ("Gram matrix rank and kernel", _M_CODIM, _cmd_gram,
+             ("basis_size", "dual_size", "rank", "deficiency"), None),
+    "verify-ck": ("projector axioms", (), _cmd_verify_ck, ("name", "ok", "detail"), "checks"),
+    "verify-mck": ("multiplicativity of the projectors", (), _cmd_verify_mck,
+                   ("i", "j", "k", "required_zero", "zero", "ok"), "cases"),
+    "lemma-ok": ("diagonal-times-h expansion", (), _cmd_lemma_ok, ("factor", "equal"), "checks"),
+    "gamma3": ("modified small diagonal solve", (), _cmd_gamma3,
+               ("i", "j", "k", "coefficient"), "coefficients"),
+    "euler": ("Euler characteristic identity", (), _cmd_euler,
+              ("value", "expected", "match"), None),
+    "kimura": ("alternating relation vanishing",
+               (("--cap-b", {"type": int, "default": DEFAULT_B_CAP}), _CAP_GRAM), _cmd_kimura,
+               ("b", "delta", "vanishing", "crosscheck_ok", "dual_count"), None),
+    "scan": ("injectivity scan of Gram deficiencies",
+             (("--m-max", {"type": int, "required": True}), _CAP_GRAM), _cmd_scan,
+             ("m", "codim", "basis_size", "rank", "deficiency"), "rows"),
 }
 
 
-def _inputs_from_args(args) -> dict:
+def _report_dict(args, params, results, status, timing_ms):
+    # the inputs are the command's own options that take a value
     inputs = {}
-    for key in ("m", "codim", "m_max", "cap_b", "cap_gram", "x", "y"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            inputs[key] = getattr(args, key)
-    return inputs
-
-
-def _report_dict(command, params, inputs, results, status, timing_ms):
+    for flag, kwargs in COMMANDS[args.command][1]:
+        if "action" not in kwargs:
+            dest = flag.lstrip("-").replace("-", "_")
+            inputs[dest] = getattr(args, dest)
     report = {
-        "command": command,
+        "command": args.command,
         "params": {
             "n": params.n,
             "d": params.d,
@@ -404,50 +364,21 @@ def _report_dict(command, params, inputs, results, status, timing_ms):
     return report
 
 
-def _tabular(command: str, results: dict) -> tuple[list[str], list[list]]:
-    # a run stopped by a cap has only its error to report
-    if command == "basis":
-        return ["monomial"], [[m] for m in results.get("monomials", [])]
-    if command == "mul":
-        return ["product", "codim"], [[results["product"], results["codim"]]]
-    if command == "pair":
-        return ["value"], [[results["value"]]]
-    if command == "gram":
-        headers = ["basis_size", "dual_size", "rank", "deficiency"]
-        return headers, [] if "error" in results else [[results[h] for h in headers]]
-    if command in ("verify-ck",):
-        return ["name", "ok", "detail"], [[c["name"], c["ok"], c["detail"]] for c in results["checks"]]
-    if command == "verify-mck":
-        return (
-            ["i", "j", "k", "required_zero", "zero", "ok"],
-            [
-                [c["i"], c["j"], c["k"], c["required_zero"], c["zero"], c["ok"]]
-                for c in results["cases"]
-            ],
-        )
-    if command == "lemma-ok":
-        return ["factor", "equal"], [[c["factor"], c["equal"]] for c in results["checks"]]
-    if command == "gamma3":
-        return (
-            ["i", "j", "k", "coefficient"],
-            [key.split(",") + [value] for key, value in sorted(results["coefficients"].items())],
-        )
-    if command == "euler":
-        return ["value", "expected", "match"], [
-            [results["value"], results["expected"], results["match"]]
-        ]
-    if command == "kimura":
-        headers = ["b", "delta", "vanishing", "crosscheck_ok", "dual_count"]
-        return headers, [] if "error" in results else [[results[h] for h in headers]]
-    if command == "scan":
-        return (
-            ["m", "codim", "basis_size", "rank", "deficiency"],
-            [
-                [r["m"], r["codim"], r["basis_size"], r["rank"], r["deficiency"]]
-                for r in results.get("rows", [])
-            ],
-        )
-    return ["key", "value"], [[k, v] for k, v in results.items()]
+def _table(report: dict) -> tuple[tuple[str, ...], list[list]]:
+    """The columns and rows of a text or CSV report: a row per record, read
+    by column (a bare value is the one cell).  The records are the list
+    results[records]; with records None, the results themselves unless the
+    run stopped at a cap.  gamma3's "i,j,k" -> coefficient map is split
+    into cells and sorted by its string keys."""
+    columns, records = COMMANDS[report["command"]][3:]
+    results = report["results"]
+    if records is None:
+        records = [] if "error" in results else [results]
+    else:
+        records = results.get(records, [])
+    if isinstance(records, dict):
+        return columns, [key.split(",") + [value] for key, value in sorted(records.items())]
+    return columns, [[r[c] for c in columns] if isinstance(r, dict) else [r] for r in records]
 
 
 def _render_text(report: dict) -> str:
@@ -460,8 +391,8 @@ def _render_text(report: dict) -> str:
         lines.append(
             "inputs: " + " ".join(f"{k}={v}" for k, v in report["inputs"].items())
         )
-    headers, rows = _tabular(report["command"], report["results"])
-    lines.append("  ".join(headers))
+    columns, rows = _table(report)
+    lines.append("  ".join(columns))
     for row in rows:
         lines.append("  ".join(str(v) for v in row))
     if "error" in report["results"]:
@@ -475,12 +406,9 @@ def _render_text(report: dict) -> str:
 def _render_csv(report: dict) -> str:
     import csv
 
-    headers, rows = _tabular(report["command"], report["results"])
+    columns, rows = _table(report)
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(out, lineterminator="\n").writerows([columns, *rows])
     return out.getvalue()
 
 
@@ -541,22 +469,17 @@ def main(argv=None) -> int:
     handler = COMMANDS[args.command][2]
     start = time.perf_counter()
     try:
-        status, inputs, results = handler(args, params)
+        status, results = handler(args, params)
     except ResourceLimitError as exc:
-        results = {"error": str(exc)}
-        if exc.partial is not None:
-            results["rows"] = _scan_rows_payload(exc.partial)
-        timing = None if args.no_timing else round((time.perf_counter() - start) * 1000, 3)
-        report = _report_dict(args.command, params, _inputs_from_args(args), results, "error", timing)
-        _emit(report, args.format)
-        return 3
+        status, results = "error", {"error": str(exc)}
+        if exc.partial is not None:  # the rows a scan finished
+            results["rows"] = [row._asdict() for row in exc.partial.rows]
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     timing = None if args.no_timing else round((time.perf_counter() - start) * 1000, 3)
-    report = _report_dict(args.command, params, inputs, results, status, timing)
-    _emit(report, args.format)
-    return 0 if status == "pass" else 1
+    _emit(_report_dict(args, params, results, status, timing), args.format)
+    return {"pass": 0, "fail": 1, "error": 3}[status]
 
 
 if __name__ == "__main__":

@@ -286,7 +286,7 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
         term = multiply(pullback(diag, 3, (fi, fj)), o_class(3, other), params)
         gap = gap - term
     coefficients: dict[tuple[int, int, int], Fraction] = {}
-    residual = gap
+    residual = dict(gap.terms)  # one TautClass at the end, not a copy per read-off
     for i in range(n + 1):
         for j in range(n - i, n + 1):
             k = 2 * n - i - j
@@ -295,7 +295,8 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
             ((mono, scale),) = cls.terms.items()
             value = -gap.coefficient(mono) / scale
             coefficients[i, j, k] = value
-            residual = residual + cls.scale(value)
+            residual[mono] = residual.get(mono, 0) + value * scale
+    residual = TautClass(3, residual)
     if not residual.is_zero:
         raise ArithmeticError("no polarization polynomial cancels the small diagonal")
     return Gamma3Solution(coefficients=coefficients, residual=residual)
