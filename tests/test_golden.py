@@ -83,19 +83,21 @@ GOLDEN_ARGV = [f"{command} --format {fmt} --no-timing"
 ]
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run(argv: str) -> dict:
     """Exit code and sha256 of stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv.split())
-    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
-    return {"code": code, "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue())}
+    return {"code": code, "stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue())}
 
 
 @pytest.mark.parametrize("command", sorted(BENCH_DIGESTS))
 def test_output_digest_is_unchanged(command):
-    assert run(command) == {"code": 0, "stdout": BENCH_DIGESTS[command],
-                            "stderr": hashlib.sha256(b"").hexdigest()}
+    assert run(command) == {"code": 0, "stdout": BENCH_DIGESTS[command], "stderr": _sha256("")}
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGV)
