@@ -102,11 +102,13 @@ def _dropped_key(
     """Per dropped factor: -1 where a tau edge covers it, else its local
     degree (0 unit, n point class), or n minus that with `complement`.
 
-    A term product carries o on a dropped factor exactly when both terms
-    cover it by tau (it lies inside a path or on a cycle), or neither does
-    and their local degrees sum to n.  So the product of an x term and a
-    y term survives a pushforward only when the x key equals the
-    complemented y key.
+    This is the block rule of the pairing.  A term product carries o on a
+    dropped factor exactly when both terms cover it by tau (it lies inside
+    a path or on a cycle), or neither does and their local degrees sum to
+    n.  So the product of an x term and a y term survives a pushforward
+    only when the x key equals the complemented y key; over all factors,
+    two monomials pair to nonzero only when tau covers the same factors in
+    both and their local degrees are complementary on every other factor.
     """
     covered = {f for p in mono.pairs for f in p}
     local = dict(mono.hpows)
@@ -167,25 +169,6 @@ def _mono_pairing(a: TautMonomial, b: TautMonomial, params: ModelParams) -> Frac
     return coeff
 
 
-def _block_key(mono: TautMonomial, n: int, complement: bool = False) -> tuple:
-    """Which Gram block a monomial falls in: its tau-covered factors, then
-    the local degree (0 unit, n point class) of every other factor in order.
-
-    With `complement` each degree e becomes n - e, so a dual monomial gets
-    the key of the basis monomials it can pair with.  Two monomials pair to
-    nonzero only when their tau edges cover the same factors (the union of
-    two matchings contracts to o everywhere only if it is all cycles) and
-    their locals sum to n on every other factor.
-    """
-    covered = tuple(sorted(f for p in mono.pairs for f in p))
-    local = dict(mono.hpows)
-    local.update((f, n) for f in mono.opoints)
-    degrees = tuple(local.get(f, 0) for f in range(1, mono.m + 1) if f not in covered)
-    if complement:
-        degrees = tuple(n - e for e in degrees)
-    return covered, degrees
-
-
 class GramBlock(namedtuple("GramBlock", "rows cols entries")):
     """One diagonal block of a Gram matrix: the basis positions `rows`, the
     dual positions `cols` (both ascending) and their pairing values."""
@@ -198,7 +181,7 @@ class GramReport(
 ):
     """Pairing matrix of a codimension basis against its complementary basis.
 
-    The pairing is block diagonal (see `_block_key`), so only the blocks
+    The pairing is block diagonal (see `_dropped_key`), so only the blocks
     are stored; `gram` scatters them into the dense matrix on each use,
     with one row per basis monomial and one column per dual monomial.
     `kernel_basis` spans the classes in the row basis that pair to zero
@@ -218,10 +201,12 @@ class GramReport(
         return RationalMatrix(entries, cols=len(self.dual_basis))
 
 
-def _group(monos: Sequence[TautMonomial], n: int, complement: bool = False) -> dict[tuple, list[int]]:
+def _group(
+    monos: Sequence[TautMonomial], factors: range, n: int, complement: bool = False
+) -> dict[tuple, list[int]]:
     groups: dict[tuple, list[int]] = {}
     for idx, mono in enumerate(monos):
-        groups.setdefault(_block_key(mono, n, complement), []).append(idx)
+        groups.setdefault(_dropped_key(mono, factors, n, complement), []).append(idx)
     return groups
 
 
@@ -239,11 +224,12 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
         raise ValueError(f"codimension {codim} is not in 0..m*n = 0..{top}")
     basis = enumerate_basis(params, m, codim)
     dual = enumerate_basis(params, m, m * params.n - codim)
-    dual_groups = _group(dual, params.n, complement=True)
+    factors = range(1, m + 1)
+    dual_groups = _group(dual, factors, params.n, complement=True)
     blocks: list[GramBlock] = []
     rank = 0
     kernel: list[tuple[int, TautClass]] = []
-    for key, rows in _group(basis, params.n).items():
+    for key, rows in _group(basis, factors, params.n).items():
         cols = dual_groups.get(key, [])
         entries = [[_mono_pairing(basis[r], dual[c], params) for c in cols] for r in rows]
         block = GramBlock(tuple(rows), tuple(cols), RationalMatrix(entries, cols=len(cols)))
@@ -270,28 +256,20 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
 def is_zero_in_cohomology(x: TautClass, params: ModelParams) -> bool:
     """True when x pairs to zero with every monomial of complementary codimension.
 
-    Only the duals in a term's own block can pair with it: the perfect
-    matchings of its tau-covered factors, with the complementary local
-    class on every other factor.
+    Only the duals in a term's own block (see `_dropped_key`) can pair
+    with it: the perfect matchings of its tau-covered factors, with the
+    complementary local class on every other factor.
     """
-    codim = class_codim(x, params)  # raises on inhomogeneous input
-    if codim is None:
-        return True
-    n = params.n
-    groups: dict[tuple, list[tuple[TautMonomial, Fraction]]] = {}
-    for mono, coeff in x.terms.items():
-        groups.setdefault(_block_key(mono, n), []).append((mono, coeff))
-    for (covered, degrees), items in groups.items():
-        uncovered = [f for f in range(1, x.m + 1) if f not in covered]
-        hpows = tuple((f, n - e) for f, e in zip(uncovered, degrees) if 0 < e < n)
-        opoints = tuple(f for f, e in zip(uncovered, degrees) if e == 0)
-        for pairs in _matchings(covered):
-            if 2 * len(pairs) < len(covered):
-                continue  # only perfect matchings of the covered factors
-            dual = TautMonomial(x.m, pairs, hpows, opoints)
-            total = Fraction(0)
-            for mono, coeff in items:
-                total += coeff * _mono_pairing(mono, dual, params)
-            if total:
-                return False
-    return True
+    class_codim(x, params)  # raises on inhomogeneous input
+    n, factors = params.n, range(1, x.m + 1)
+    duals = []
+    for key in dict.fromkeys(_dropped_key(mono, factors, n) for mono in x.terms):
+        covered = tuple(f for f, e in zip(factors, key) if e < 0)
+        hpows = tuple((f, n - e) for f, e in zip(factors, key) if 0 < e < n)
+        opoints = tuple(f for f, e in zip(factors, key) if e == 0)
+        duals += [
+            TautClass.from_monomial(TautMonomial(x.m, pairs, hpows, opoints))
+            for pairs in _matchings(covered)
+            if 2 * len(pairs) == len(covered)  # only perfect matchings
+        ]
+    return all(value.is_zero for value in push_products(x, duals, (), params))

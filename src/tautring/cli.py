@@ -474,9 +474,9 @@ def main(argv=None) -> int:
         status, results = "error", {"error": str(exc)}
         if exc.partial is not None:  # the rows a scan finished
             results["rows"] = [row._asdict() for row in exc.partial.rows]
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ArithmeticError) else 2  # 1: a mathematical check failed
     timing = None if args.no_timing else round((time.perf_counter() - start) * 1000, 3)
     _emit(_report_dict(args, params, results, status, timing), args.format)
     return {"pass": 0, "fail": 1, "error": 3}[status]

@@ -9,12 +9,15 @@ library reads off its eigenvalues.  `solve_gamma3` solves the linear
 system whose solution the library reads off monomial by monomial.
 `compose` and `verify_mck` form every product on the triple product and
 then push forward, where the library forms only the products that
-survive the pushforward.  The differential tests require each pair to
-agree exactly.
+survive the pushforward.  `verify_kimura_vanishing` runs the radical
+test on the alternating element and pairs it with every crossing
+matching, where the library pairs it with one.  The differential tests
+require each pair to agree exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from tautring import (
     CheckResult,
     Correspondence,
     Gamma3Solution,
+    KimuraReport,
     MckCase,
     MckReport,
     ModelParams,
@@ -36,10 +40,14 @@ from tautring import (
     class_codim,
     format_class,
     enumerate_basis,
+    falling_factorial_pairing,
     gram,
     h_class,
+    is_zero_in_cohomology,
+    kimura_element,
     multiply,
     o_class,
+    pair,
     pullback,
     pushforward,
     rank_kernel,
@@ -49,6 +57,7 @@ from tautring import (
 )
 from tautring.algebra import _matchings
 from tautring.calculus import _mono_pairing
+from tautring.kimura import DEFAULT_B_CAP, DEFAULT_GRAM_CAP, _sign
 from tautring.linalg import _bareiss, _integer_rows
 from tautring.motives import diagonal_class, small_diagonal
 
@@ -198,3 +207,35 @@ def verify_mck(params: ModelParams) -> MckReport:
             )
     passed = all(c.ok for c in cases) and all(p.ok for p in partition)
     return MckReport(params=params, cases=tuple(cases), partition=tuple(partition), passed=passed)
+
+
+def verify_kimura_vanishing(
+    params: ModelParams, cap_b: int = DEFAULT_B_CAP, cap_gram: int = DEFAULT_GRAM_CAP
+) -> KimuraReport:
+    """Radical membership of the alternating element by the radical test,
+    and its pairing with every crossing matching against the signed
+    falling factorial."""
+    element = kimura_element(params, cap_b)
+    b, m = element.b, 2 * params.b
+    dual_count = basis_count(params, m, b * params.n)
+    if dual_count > cap_gram:
+        raise ResourceLimitError(
+            f"dual basis has {dual_count} monomials, over the Gram cap {cap_gram}"
+        )
+    vanishing = is_zero_in_cohomology(element.cls, params)
+    expected = falling_factorial_pairing(b, params.delta, cap_b)
+    crosscheck_ok = True
+    for rho in itertools.permutations(range(1, b + 1)):
+        mono = TautMonomial(m, tuple((i, b + rho[i - 1]) for i in range(1, b + 1)))
+        value = pair(element.cls, TautClass.from_monomial(mono), params)
+        if value != _sign(rho) * expected:
+            crosscheck_ok = False
+            break
+    return KimuraReport(
+        params=params,
+        b=b,
+        delta=params.delta,
+        vanishing=vanishing,
+        crosscheck_ok=crosscheck_ok,
+        dual_count=dual_count,
+    )

@@ -171,6 +171,23 @@ def test_kimura_cap_reports_in_every_format(capsys, fmt):
         ]
 
 
+def test_kimura_reaches_b6_with_a_raised_cap(capsys):
+    argv = ["kimura", "--n", "2", "--d", "8", "--b", "6", "--cap-gram", "10000000",
+            "--format", "csv", "--no-timing"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (0, KIMURA_HEADER + "\n6,5,True,True,5447872\n", "")
+
+
+def test_arithmetic_error_ends_in_one_line_with_exit_1(capsys, monkeypatch):
+    def no_cancellation(params):
+        raise ArithmeticError("no polynomial in h cancels the residual")
+
+    monkeypatch.setattr(cli, "solve_gamma3", no_cancellation)
+    code, out, err = run_cli(capsys, ["gamma3"] + BASE)
+    assert (code, out) == (1, "")
+    assert err == "error: no polynomial in h cancels the residual\n"
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Each command is its own process, so what `import tautring.cli` loads is
     # paid on every run; dataclasses alone pulls in inspect, ast, dis and tokenize.

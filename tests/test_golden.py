@@ -48,6 +48,10 @@ _PER_FORMAT = [
     "kimura --n 2 --d 8 --b 2",
     "kimura --n 2 --d 8 --b 2 --delta 2",
     "kimura --n 2 --d 8 --b 3 --cap-b 5 --cap-gram 100000",
+    *(f"kimura --n 2 --d 8 --b {b} --cap-gram 1000000{delta}"
+      for b in (3, 4, 5) for delta in ("", " --delta 0", " --delta 7/3", " --delta=-7/3")),
+    "kimura --n 4 --d 8 --b 3 --cap-gram 1000000",
+    "kimura --n 4 --d 8 --b 4 --cap-gram 1000000",
     f"scan --m-max 2 {SMALL}",
     "scan --n 4 --d 8 --b 3 --m-max 3 --cap-gram 100000",
     # resource caps

@@ -18,6 +18,7 @@ from tautring import (
     scan_injectivity,
     verify_kimura_vanishing,
 )
+from tautring.algebra import _matchings
 from tautring.kimura import _matching_eigenvalue, _matching_gram_rank
 import oracles
 
@@ -31,6 +32,10 @@ def _inversion_sign(perm):
         1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
     )
     return -1 if inversions % 2 else 1
+
+
+def _params(n, b, delta):
+    return ModelParams(n, 8, b) if delta is None else ModelParams(n, 8, b, delta=Fraction(delta))
 
 
 def _cycles_of(perm):
@@ -116,13 +121,26 @@ def test_pairing_against_block_matchings_counts_cycles():
 
 
 def test_kimura_pairing_matches_falling_factorial_for_all_matchings():
-    for b, params in ((2, P2), (3, P3), (4, ModelParams(2, 8, 4))):
-        element = kimura_element(params)
-        base = falling_factorial_pairing(b, params.delta)
-        for rho in itertools.permutations(range(1, b + 1)):
-            mono = TautMonomial(2 * b, tuple((i, b + rho[i - 1]) for i in range(1, b + 1)))
-            value = pair(element.cls, TautClass.from_monomial(mono), params)
-            assert value == _inversion_sign(rho) * base
+    # the sign rule: a perfect matching with a same-side pair pairs to 0 with
+    # K, and a crossing rho to sgn(rho) times the falling factorial
+    for b in (1, 2, 3, 4):
+        for delta in (None, Fraction(7, 3)):
+            params = _params(2, b, delta)
+            element = kimura_element(params).cls
+            base = falling_factorial_pairing(b, params.delta)
+            crossings = 0
+            for pairs in _matchings(tuple(range(1, 2 * b + 1))):
+                if len(pairs) < b:
+                    continue  # perfect matchings only
+                mono = TautMonomial(2 * b, pairs)
+                value = pair(element, TautClass.from_monomial(mono), params)
+                if all(i <= b < j for i, j in pairs):
+                    rho = [j - b for _, j in sorted(pairs)]
+                    assert value == _inversion_sign(rho) * base
+                    crossings += 1
+                else:
+                    assert value == 0
+            assert crossings == prod(range(1, b + 1))
 
 
 def test_kimura_element_is_alternating_under_relabeling():
@@ -144,6 +162,21 @@ def test_vanishing_at_loop_value_and_not_above():
 def test_vanishing_respects_gram_cap():
     with pytest.raises(ResourceLimitError):
         verify_kimura_vanishing(P3, cap_gram=10)
+
+
+KIMURA_DELTAS = (None, 0, Fraction(1, 2), 1, 2, 3, Fraction(7, 3), Fraction(-7, 3))
+
+
+@pytest.mark.parametrize("n", (2, 4))
+@pytest.mark.parametrize("b", (1, 2, 3, 4))
+def test_one_pairing_decides_as_the_radical_test(b, n):
+    for delta in KIMURA_DELTAS:
+        params = _params(n, b, delta)
+        report = verify_kimura_vanishing(params, cap_gram=10**6)
+        assert report == oracles.verify_kimura_vanishing(params, cap_gram=10**6)
+        # the falling factorial vanishes exactly at delta = 0, 1, ..., b - 1
+        assert report.vanishing == (report.delta in range(b))
+        assert report.crosscheck_ok
 
 
 def test_scan_injectivity_thresholds():
