@@ -11,6 +11,7 @@ runs.
 from __future__ import annotations
 
 import io
+import os
 import sys
 import time
 from fractions import Fraction
@@ -424,20 +425,28 @@ _SCALARS = {
 
 def _to_json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2) for a report: dicts with str keys,
-    lists, and the scalar types of _SCALARS."""
-    encode = _SCALARS.get(value.__class__)
+    lists, and the scalar types of _SCALARS.  A scalar member is encoded
+    in the loop over its container, not by a call of its own."""
+    scalar = _SCALARS.get
+    encode = scalar(value.__class__)
     if encode is not None:
         return encode(value)
     inner = indent + "  "
+    items = []
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_quote(key) + ": " + _to_json(item, inner) for key, item in value.items()]
+        for key, item in value.items():
+            encode = scalar(item.__class__)
+            text = _to_json(item, inner) if encode is None else encode(item)
+            items.append(f"{_quote(key)}: {text}")
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, list):
         if not value:
             return "[]"
-        items = [_to_json(item, inner) for item in value]
+        for item in value:
+            encode = scalar(item.__class__)
+            items.append(_to_json(item, inner) if encode is None else encode(item))
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     raise TypeError(f"{value.__class__.__name__} is not a report value")
 
@@ -452,8 +461,26 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command and return its exit code.
+
+    Called without argv, main is the program: it runs sys.argv[1:],
+    flushes stdout and stderr and ends the process with os._exit, so
+    neither atexit handlers nor module teardown run after the report.
+    An exception escaping the command, or a flush that fails, takes the
+    normal exit path instead.
+    """
+    if argv is not None:
+        return _run(argv)
+    code = _run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or file: the interpreter reports it
+        return code
+    os._exit(code)
+
+
+def _run(argv: list[str]) -> int:
     args = _parse_table(argv)
     if args is None:
         parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)

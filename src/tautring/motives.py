@@ -19,6 +19,7 @@ from fractions import Fraction
 from .algebra import (
     ModelParams,
     TautClass,
+    TautMonomial,
     _Validated,
     h_class,
     multiply,
@@ -129,12 +130,23 @@ def transpose(f: Correspondence) -> Correspondence:
 
 
 def tensor(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:
-    """Product correspondence acting on juxtaposed source and target blocks."""
+    """Product correspondence acting on juxtaposed source and target blocks.
+
+    The two pullbacks sit on disjoint factors, so no rewriting rule
+    applies: each term of the product is the union of one monomial of
+    each, with the product of their coefficients.
+    """
     total = f.s + g.s + f.t + g.t
     emb_f = tuple(range(1, f.s + 1)) + tuple(range(f.s + g.s + 1, f.s + g.s + f.t + 1))
     emb_g = tuple(range(f.s + 1, f.s + g.s + 1)) + tuple(range(f.s + g.s + f.t + 1, total + 1))
-    cls = multiply(pullback(f.cls, total, emb_f), pullback(g.cls, total, emb_g), params)
-    return Correspondence(cls, f.s + g.s, f.t + g.t)
+    left = pullback(f.cls, total, emb_f).terms.items()
+    right = pullback(g.cls, total, emb_g).terms.items()
+    terms = {
+        TautMonomial(total, a.pairs + b.pairs, a.hpows + b.hpows, a.opoints + b.opoints): ca * cb
+        for a, ca in left
+        for b, cb in right
+    }
+    return Correspondence(TautClass(total, terms), f.s + g.s, f.t + g.t)
 
 
 def ck_projectors(params: ModelParams) -> ProjectorSet:

@@ -9,7 +9,8 @@ library reads off its eigenvalues.  `solve_gamma3` solves the linear
 system whose solution the library reads off monomial by monomial.
 `compose` and `verify_mck` form every product on the triple product and
 then push forward, where the library forms only the products that
-survive the pushforward.  `verify_kimura_vanishing` runs the radical
+survive the pushforward.  `tensor` multiplies the two pullbacks in
+full, where the library joins their monomials.  `verify_kimura_vanishing` runs the radical
 test on the alternating element and pairs it with every crossing
 matching, where the library pairs it with one.  The differential tests
 require each pair to agree exactly.
@@ -53,7 +54,6 @@ from tautring import (
     rank_kernel,
     small_diagonal_correspondence,
     solve_linear,
-    tensor,
 )
 from tautring.algebra import _matchings
 from tautring.calculus import _mono_pairing
@@ -176,6 +176,15 @@ def compose(f: Correspondence, g: Correspondence, params: ModelParams) -> Corres
     right = pullback(f.cls, total, tuple(range(g.s + 1, total + 1)))
     kept = list(range(1, g.s + 1)) + list(range(g.s + g.t + 1, total + 1))
     return Correspondence(pushforward(multiply(left, right, params), kept, params), g.s, f.t)
+
+
+def tensor(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:
+    """f x g: the full product of the two pullbacks in the ring."""
+    total = f.s + g.s + f.t + g.t
+    emb_f = tuple(range(1, f.s + 1)) + tuple(range(f.s + g.s + 1, f.s + g.s + f.t + 1))
+    emb_g = tuple(range(f.s + 1, f.s + g.s + 1)) + tuple(range(f.s + g.s + f.t + 1, total + 1))
+    cls = multiply(pullback(f.cls, total, emb_f), pullback(g.cls, total, emb_g), params)
+    return Correspondence(cls, f.s + g.s, f.t + g.t)
 
 
 def verify_mck(params: ModelParams) -> MckReport:

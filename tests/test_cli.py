@@ -476,3 +476,85 @@ def test_table_parser_accepts_well_formed_argv(argv):
 )
 def test_table_parser_leaves_the_rest_to_argparse(argv):
     assert cli._parse_table(argv) is None
+
+
+# The line the console script runs; main() without argv is the program.
+PROGRAM = "import sys; from tautring.cli import main; sys.exit(main())"
+PROGRAM_CASES = [
+    ["euler", "--no-timing"] + SMALL,  # a pass
+    ["euler", "--n", "2", "--d", "8", "--no-timing"],  # a usage error, exit 2
+    ["scan", "--m-max", "x"] + SMALL,  # an argparse error, exit 2
+    ["kimura", "--n", "2", "--d", "8", "--b", "9", "--no-timing", "--format", "json"],  # a cap
+    ["scan", "--help"],
+    ["verify-mck", "--profile", "three-quadrics", "--n", "12", "--b", "22", "--no-timing",
+     "--format", "json"],  # a 370 kB report
+]
+
+
+@pytest.mark.parametrize("argv", PROGRAM_CASES, ids=" ".join)
+def test_program_answers_as_main_in_process(monkeypatch, argv):
+    # stdout is a pipe and block-buffered, so a report left unflushed at the
+    # early exit would be lost; COLUMNS fixes the width of argparse's help
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(tautring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", PROGRAM, *argv], env=env, capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _main_output(argv)
+
+
+def _exit_refused(code):
+    raise AssertionError(f"os._exit({code}) was called")
+
+
+def test_main_with_argv_returns_its_code(monkeypatch):
+    monkeypatch.setattr(cli.os, "_exit", _exit_refused)
+    assert _main_output(["euler", "--no-timing"] + SMALL)[0] == 0
+    assert _main_output(["kimura", "--n", "2", "--d", "8", "--b", "9"])[0] == 3
+
+
+class _Exited(Exception):
+    pass
+
+
+def test_program_flushes_then_ends_the_process(monkeypatch):
+    flushed, codes = [], []
+
+    def record_exit(code):
+        codes.append(code)
+        raise _Exited
+
+    out, err = io.StringIO(), io.StringIO()
+    out.flush = lambda: flushed.append("stdout")
+    err.flush = lambda: flushed.append("stderr")
+    monkeypatch.setattr(sys, "argv", ["tautring", "euler", "--n", "2", "--d", "8"])
+    monkeypatch.setattr(cli.os, "_exit", record_exit)
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(_Exited):
+        main()
+    assert (codes, flushed) == ([2], ["stdout", "stderr"])
+    assert err.getvalue() == "error: --b is required (no default Betti number is assumed)\n"
+
+
+def test_program_takes_the_normal_exit_when_a_flush_fails(monkeypatch):
+    def closed_pipe():
+        raise BrokenPipeError
+
+    out = io.StringIO()
+    out.flush = closed_pipe
+    monkeypatch.setattr(sys, "argv", ["tautring", "euler", "--no-timing"] + SMALL)
+    monkeypatch.setattr(cli.os, "_exit", _exit_refused)
+    with redirect_stdout(out):
+        assert main() == 0
+    assert out.getvalue().startswith("command: euler\n")
+
+
+def test_program_takes_the_normal_exit_when_a_command_raises(monkeypatch):
+    def crash(params):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "euler_char", crash)
+    monkeypatch.setattr(sys, "argv", ["tautring", "euler", "--no-timing"] + SMALL)
+    monkeypatch.setattr(cli.os, "_exit", _exit_refused)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main()

@@ -218,6 +218,16 @@ def test_verify_mck_matches_full_compositions_when_it_fails(monkeypatch):
     assert report == oracles.verify_mck(P4)
 
 
+@pytest.mark.parametrize(
+    "params", [ModelParams(n, 8, 22) for n in (2, 4, 6, 12)] + [DP], ids=lambda p: f"n{p.n}d{p.d}"
+)
+def test_tensor_joins_monomials_as_the_full_product(params):
+    ps = ck_projectors(params)
+    for i in ps.indices():
+        for j in ps.indices():
+            assert tensor(ps[i], ps[j], params) == oracles.tensor(ps[i], ps[j], params)
+
+
 def test_act_reproduces_grading():
     for params in (P, P4):
         ps = ck_projectors(params)
