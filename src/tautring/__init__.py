@@ -60,7 +60,6 @@ from .motives import (
     euler_char,
     expand_diagonal_times_h,
     small_diagonal,
-    small_diagonal_correspondence,
     solve_gamma3,
     tensor,
     transpose,

@@ -29,6 +29,8 @@ from fractions import Fraction
 from math import comb, prod
 from types import MappingProxyType
 
+from .linalg import _exact
+
 
 class _Validated:
     """Mixin for namedtuple value types with a validating `__new__`.
@@ -58,9 +60,7 @@ class ModelParams(_Validated, namedtuple("ModelParams", "n d b delta")):
             raise ValueError("d must be an integer >= 1")
         if not isinstance(b, int) or b < 1:
             raise ValueError("b must be an integer >= 1")
-        if isinstance(delta, float):
-            raise ValueError("delta must be exact (int, Fraction or 'p/q'), not a float")
-        delta = Fraction(b - 1) if delta is None else Fraction(delta)
+        delta = Fraction(b - 1) if delta is None else _exact(delta)
         return tuple.__new__(cls, (n, d, b, delta))
 
 
@@ -149,7 +149,7 @@ class TautClass:
             if mono.m != m:
                 raise ValueError(f"monomial on {mono.m} factors in a class on {m}")
             if coeff.__class__ is not Fraction:
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
             if coeff:
                 clean[mono] = coeff
         self.m = m
@@ -161,7 +161,7 @@ class TautClass:
 
     @classmethod
     def from_monomial(cls, mono: TautMonomial, coeff: Fraction | int = 1) -> "TautClass":
-        return cls(mono.m, {mono: Fraction(coeff)})
+        return cls(mono.m, {mono: coeff})
 
     @property
     def terms(self) -> Mapping[TautMonomial, Fraction]:
@@ -182,7 +182,8 @@ class TautClass:
         )
 
     def scale(self, coeff: Fraction | int) -> "TautClass":
-        coeff = Fraction(coeff)
+        if coeff.__class__ is not Fraction:
+            coeff = _exact(coeff)
         if not coeff:
             return TautClass(self.m)
         return TautClass(self.m, {mono: c * coeff for mono, c in self._terms.items()})

@@ -21,6 +21,7 @@ from .algebra import (
     _mul_monomials,
     class_codim,
     enumerate_basis,
+    unit_class,
 )
 from .linalg import RationalMatrix, rank_kernel
 
@@ -65,14 +66,7 @@ def pushforward(x: TautClass, kept: Iterable[int], params: ModelParams) -> TautC
     edge with a dropped endpoint pushes to 0 because its diagonal part
     cancels against its top Kuenneth correction.
     """
-    relabel, dropped = _split(x.m, kept)
-    acc: dict[TautMonomial, Fraction] = {}
-    for mono, coeff in x.terms.items():
-        if not dropped <= set(mono.opoints):
-            continue  # a dropped factor must carry o; anything else integrates to 0
-        moved = _moved(mono, relabel, dropped)
-        acc[moved] = acc.get(moved, Fraction(0)) + coeff
-    return TautClass(len(relabel), acc)
+    return push_products(x, (unit_class(x.m),), kept, params)[0]
 
 
 def _split(m: int, kept: Iterable[int]) -> tuple[dict[int, int], set[int]]:

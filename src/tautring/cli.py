@@ -70,21 +70,13 @@ _OPERANDS = (
 _CAP_GRAM = ("--cap-gram", {"type": int, "default": DEFAULT_GRAM_CAP})
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone.
-
-    `main` runs the one-command parser on what `_parse_table` declines; it
-    names all the subcommands in its usage line, so its errors read as the
-    full one's.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; `main` runs it on what `_parse_table` declines."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="tautring", description=__doc__)
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if command else None
-    )
-    for name in (command,) if command else COMMANDS:
-        helptext, options = COMMANDS[name][:2]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (helptext, options, *_) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.register("action", "negatable", argparse.BooleanOptionalAction)
         for flag, kwargs in _COMMON + options:
@@ -483,9 +475,8 @@ def main(argv=None) -> int:
 def _run(argv: list[str]) -> int:
     args = _parse_table(argv)
     if args is None:
-        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (None, 0) else 2
     try:

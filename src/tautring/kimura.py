@@ -19,6 +19,7 @@ from math import comb, factorial, prod
 
 from .algebra import ModelParams, TautClass, TautMonomial, _local_count, basis_count
 from .calculus import pair
+from .linalg import _exact
 
 DEFAULT_B_CAP = 7
 DEFAULT_GRAM_CAP = 2000
@@ -78,7 +79,8 @@ def falling_factorial_pairing(b: int, delta: Fraction | int, cap_b: int = DEFAUL
     """
     if b > cap_b:
         raise ResourceLimitError(f"b={b} exceeds the cap {cap_b} ({b}! permutations)")
-    delta = Fraction(delta)
+    if delta.__class__ is not Fraction:
+        delta = _exact(delta)
     total = Fraction(0)
     for perm in itertools.permutations(range(1, b + 1)):
         total += _sign(perm) * delta ** _cycle_count(perm)

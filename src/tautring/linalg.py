@@ -18,6 +18,14 @@ from math import lcm
 Vector = tuple[Fraction, ...]
 
 
+def _exact(x: Fraction | int | str) -> Fraction:
+    """x as a Fraction, refusing a float: it would enter as its binary
+    expansion (0.1 as 3602879701896397/36028797018963968)."""
+    if isinstance(x, float):
+        raise ValueError(f"{x!r} is a float; pass an int, a Fraction or a 'p/q' string")
+    return Fraction(x)
+
+
 class RationalMatrix:
     """Immutable dense matrix with Fraction entries.
 
@@ -29,7 +37,7 @@ class RationalMatrix:
 
     def __init__(self, entries: Sequence[Sequence[Fraction | int]], cols: int | None = None):
         entries = tuple(
-            tuple(x if x.__class__ is Fraction else Fraction(x) for x in row) for row in entries
+            tuple(x if x.__class__ is Fraction else _exact(x) for x in row) for row in entries
         )
         if entries:
             width = len(entries[0])
@@ -49,18 +57,10 @@ class RationalMatrix:
         cols = tuple(tuple(row[c] for row in self.entries) for c in range(self.cols))
         return RationalMatrix(cols, cols=self.rows)
 
-    def matvec(self, vec: Sequence[Fraction | int]) -> Vector:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -82,19 +82,18 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _bareiss(rows: list[list[int]], width: int, pivot_limit: int) -> list[int]:
+def _bareiss(rows: list[list[int]], width: int) -> list[int]:
     """In-place fraction-free forward elimination.
 
-    Pivots are sought in columns 0..pivot_limit-1, first nonzero entry in
-    column order.  Returns the pivot columns; on exit the first
-    len(piv_cols) rows are an integer echelon form and all later rows are
-    zero in the pivoted columns.
+    Pivots are the first nonzero entry in column order.  Returns the pivot
+    columns; on exit the first len(piv_cols) rows are an integer echelon
+    form and all later rows are zero.
     """
     piv_cols: list[int] = []
     nrows = len(rows)
     r = 0
     prev = 1
-    for c in range(pivot_limit):
+    for c in range(width):
         p = None
         for i in range(r, nrows):
             if rows[i][c]:
@@ -148,7 +147,7 @@ def rank_kernel(matrix: RationalMatrix) -> tuple[int, list[Vector]]:
     free position.  rank + len(kernel) == matrix.cols always holds.
     """
     rows = _integer_rows(matrix.entries)
-    piv_cols = _bareiss(rows, matrix.cols, matrix.cols)
+    piv_cols = _bareiss(rows, matrix.cols)
     reduced = _rref(rows, piv_cols)
     piv_set = set(piv_cols)
     kernel: list[Vector] = []
@@ -166,20 +165,17 @@ def rank_kernel(matrix: RationalMatrix) -> tuple[int, list[Vector]]:
 def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction | int]) -> Vector | None:
     """Solve M x = rhs exactly, or return None when the system is inconsistent.
 
-    The returned solution is the minimal-support echelon one: free
-    variables are set to zero.
+    The solution is read off the null space of [M | rhs]: the system is
+    consistent exactly when the last column is free, and that column's
+    canonical kernel vector is then (-x, 1), with x zero on every free
+    variable (the minimal-support echelon solution).
     """
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    augmented = [tuple(row) + (Fraction(x),) for row, x in zip(matrix.entries, rhs)]
-    rows = _integer_rows(augmented)
-    piv_cols = _bareiss(rows, matrix.cols + 1, matrix.cols)
-    rank = len(piv_cols)
-    for i in range(rank, matrix.rows):
-        if rows[i][matrix.cols]:
-            return None
-    reduced = _rref(rows, piv_cols)
-    solution = [Fraction(0)] * matrix.cols
-    for i, c in enumerate(piv_cols):
-        solution[c] = reduced[i][matrix.cols]
-    return tuple(solution)
+    augmented = RationalMatrix(
+        [(*row, x) for row, x in zip(matrix.entries, rhs)], cols=matrix.cols + 1
+    )
+    kernel = rank_kernel(augmented)[1]
+    if not kernel or not kernel[-1][-1]:
+        return None
+    return tuple(-v for v in kernel[-1][:-1])

@@ -204,11 +204,6 @@ def small_diagonal(params: ModelParams) -> TautClass:
     return multiply(left, right, params)
 
 
-def small_diagonal_correspondence(params: ModelParams) -> Correspondence:
-    """The triple diagonal read as the multiplication map from two factors to one."""
-    return Correspondence(small_diagonal(params), 2, 1)
-
-
 def verify_mck(params: ModelParams) -> MckReport:
     """Exact multiplicativity check of the projector family.
 

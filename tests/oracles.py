@@ -9,7 +9,9 @@ library reads off its eigenvalues.  `solve_gamma3` solves the linear
 system whose solution the library reads off monomial by monomial.
 `compose` and `verify_mck` form every product on the triple product and
 then push forward, where the library forms only the products that
-survive the pushforward.  `tensor` multiplies the two pullbacks in
+survive the pushforward.  `pushforward` keeps the terms that carry o on
+every dropped factor, where the library pushes the product with the
+unit through `push_products`.  `tensor` multiplies the two pullbacks in
 full, where the library joins their monomials.  `verify_kimura_vanishing` runs the radical
 test on the alternating element and pairs it with every crossing
 matching, where the library pairs it with one.  The differential tests
@@ -50,9 +52,7 @@ from tautring import (
     o_class,
     pair,
     pullback,
-    pushforward,
     rank_kernel,
-    small_diagonal_correspondence,
     solve_linear,
 )
 from tautring.algebra import _matchings
@@ -130,7 +130,13 @@ def gram_scan(params: ModelParams, m_max: int, cap_gram: int) -> ScanTable:
 
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank of a rational matrix: the forward elimination alone."""
-    return len(_bareiss(_integer_rows(matrix.entries), matrix.cols, matrix.cols))
+    return len(_bareiss(_integer_rows(matrix.entries), matrix.cols))
+
+
+def mat_vec(matrix: RationalMatrix, vec) -> tuple[Fraction, ...]:
+    """The product M v, entry by entry."""
+    return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0))
+                 for row in matrix.entries)
 
 
 def _matching_gram_rank(params: ModelParams, k: int) -> int:
@@ -167,6 +173,31 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
     for value, col in zip(solution, columns):
         residual = residual + col.scale(value)
     return Gamma3Solution(coefficients=dict(zip(exponents, solution)), residual=residual)
+
+
+def pushforward(x: TautClass, kept, params: ModelParams) -> TautClass:
+    """Integrate out the factors not in `kept` term by term: a term
+    survives only when every dropped factor carries o."""
+    kept = sorted(set(kept))
+    relabel = {f: i + 1 for i, f in enumerate(kept)}
+    dropped = set(range(1, x.m + 1)) - set(kept)
+    acc: dict[TautMonomial, Fraction] = {}
+    for mono, coeff in x.terms.items():
+        if not dropped <= set(mono.opoints):
+            continue
+        moved = TautMonomial(
+            len(kept),
+            tuple((relabel[i], relabel[j]) for i, j in mono.pairs),
+            tuple((relabel[f], e) for f, e in mono.hpows),
+            tuple(relabel[f] for f in mono.opoints if f in relabel),
+        )
+        acc[moved] = acc.get(moved, Fraction(0)) + coeff
+    return TautClass(len(kept), acc)
+
+
+def small_diagonal_correspondence(params: ModelParams) -> Correspondence:
+    """The triple diagonal read as the multiplication map from two factors to one."""
+    return Correspondence(small_diagonal(params), 2, 1)
 
 
 def compose(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:

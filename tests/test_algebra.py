@@ -49,6 +49,17 @@ def test_params_reject_float_delta():
     assert ModelParams(2, 8, 3, delta=Fraction(1, 2)).delta == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TautClass(1, {TautMonomial(1, opoints=(1,)): 0.1}),
+    lambda: TautClass.from_monomial(TautMonomial(1), 0.1),
+    lambda: unit_class(1).scale(0.5),
+], ids=["TautClass", "from_monomial", "scale"])
+def test_class_coefficients_refuse_floats(build):
+    # 0.1 would enter as 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="float"):
+        build()
+
+
 def test_make_and_replace_validate():
     # namedtuple builds these through tuple.__new__ unless routed through __new__
     with pytest.raises(ValueError, match="float"):

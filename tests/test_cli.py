@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -222,6 +223,7 @@ def test_cli_import_loads_every_layer_and_no_renderer_or_typing():
 
 
 SMALL = ["--n", "2", "--d", "8", "--b", "3"]
+ERROR_LINE = re.compile(r"(tautring( \S+)?: )?error: ")  # ours, or argparse's usage error
 PARSE_CASES = (
     [[name, "--help"] for name in cli.COMMANDS]
     + [[name, "--n", "two"] for name in cli.COMMANDS]
@@ -239,18 +241,23 @@ PARSE_CASES = (
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
-def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
-    one_command = run_cli(capsys, argv)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
-    assert run_cli(capsys, argv) == one_command
+def test_help_and_malformed_argv_answer_through_argparse(capsys, argv):
+    # the table declines each of these; argparse prints help or reads an
+    # abbreviation (--m for --m-max) with exit 0, or names the problem on
+    # the last line of a usage error with exit 2
+    assert cli._parse_table(argv) is None
+    code, out, err = run_cli(capsys, argv)
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert (code, out) == (2, "")
+        assert ERROR_LINE.match(err.splitlines()[-1])
 
 
-def test_build_parser_without_a_command_lists_every_command():
-    full, scan_only = cli.build_parser().format_help(), cli.build_parser("scan").format_help()
-    for name, (helptext, *_) in cli.COMMANDS.items():
+def test_build_parser_lists_every_command():
+    full = cli.build_parser().format_help()
+    for helptext, *_ in cli.COMMANDS.values():
         assert helptext in full
-        assert (helptext in scan_only) == (name == "scan")
 
 
 def test_gram_codimension_out_of_range_is_named(capsys):
@@ -429,11 +436,61 @@ def _argvs(draw):
 def test_table_parser_agrees_with_argparse(argv):
     table = cli._parse_table(argv)
     if table is not None:
-        assert vars(table) == vars(cli.build_parser(argv[0]).parse_args(argv))
+        assert vars(table) == vars(cli.build_parser().parse_args(argv))
     # whether the table accepts or declines, main answers as it does through argparse alone
     with mock.patch.object(cli, "_parse_table", lambda argv: None):
         expected = _main_output(argv)
     assert _main_output(argv) == expected
+
+
+# Small values for each option that takes one, caps of 0 and below included.
+_SMALL_VALUES = {
+    "--profile": ("custom", "three-quadrics", "double-plane"),
+    "--n": ("2", "4"),
+    "--d": ("2", "8"),
+    "--b": ("1", "2", "3", "4"),
+    "--delta": ("0", "1/2", "2", "1/0"),
+    "--format": ("json", "csv", "text"),
+    "--m": ("0", "1", "2", "3", "4"),
+    "--codim": ("-1", "0", "2", "4", "9"),
+    "--m-max": ("-1", "0", "1", "2", "3"),
+    "--cap-gram": ("-1", "0", "100", "2000"),
+    "--cap-b": ("-1", "0", "3", "7"),
+}
+_OPERANDS = ("t(1,2)", "o1*h2", "1", "h1^2", "t(1,3)*o2", "2*t(1,2)-o1/3", "t(1", "x")
+
+
+@st.composite
+def _small_argvs(draw):
+    """argv for one command: the options a run needs given a small value,
+    the others left out or given one, operands from a short list, and at
+    most one malformed piece, in any order."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    options = cli._COMMON + cli.COMMANDS[name][1]
+    pieces = []
+    for flag, kwargs in options:
+        if flag[0] != "-":
+            pieces.append([draw(st.sampled_from(_OPERANDS))])
+        elif flag in ("--n", "--d", "--b") or kwargs.get("required"):
+            pieces.append([flag, draw(st.sampled_from(_SMALL_VALUES[flag]))])
+        elif draw(st.booleans()):
+            values = _SMALL_VALUES.get(flag)
+            pieces.append([flag] if values is None else [flag, draw(st.sampled_from(values))])
+    pieces += draw(st.lists(_pieces(options), max_size=1))
+    return [name] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@given(argv=_small_argvs())
+@settings(max_examples=500, deadline=None)
+def test_every_argv_ends_in_a_report_or_one_error_line(argv):
+    # help and reports (a failed check exits 1, a cap 3) go to stdout alone;
+    # anything else exits 1 or 2 with an error line last on stderr
+    code, out, err = _main_output(argv)
+    assert code in (0, 1, 2, 3)
+    if out:
+        assert code != 2 and err == ""
+    else:
+        assert code in (1, 2) and ERROR_LINE.match(err.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -451,7 +508,7 @@ def test_table_parser_agrees_with_argparse(argv):
 def test_table_parser_accepts_well_formed_argv(argv):
     table = cli._parse_table(argv)
     assert table is not None
-    assert vars(table) == vars(cli.build_parser(argv[0]).parse_args(argv))
+    assert vars(table) == vars(cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize(

@@ -80,6 +80,11 @@ def test_falling_factorial_examples():
     assert falling_factorial_pairing(3, 3) == 6
 
 
+def test_falling_factorial_refuses_a_float_loop_value():
+    with pytest.raises(ValueError, match="float"):
+        falling_factorial_pairing(3, 2.0)
+
+
 def test_falling_factorial_matches_closed_form_and_independent_sum():
     deltas = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(7, 2)]
     for b in range(1, 7):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from tautring import RationalMatrix, rank_kernel, solve_linear
-from oracles import rank
+from oracles import mat_vec, rank
 
 
 def test_identity_has_full_rank_and_empty_kernel():
@@ -115,7 +115,7 @@ def test_rank_matches_minor_oracle_and_transpose(matrix):
     assert rank + len(kernel) == matrix.cols
     zero = tuple(Fraction(0) for _ in range(matrix.rows))
     for vec in kernel:
-        assert matrix.matvec(vec) == zero
+        assert mat_vec(matrix, vec) == zero
 
 
 @given(small_matrices(), st.data())
@@ -125,10 +125,10 @@ def test_solve_is_exact_when_consistent(matrix, data):
         Fraction(data.draw(small_entries), data.draw(st.integers(min_value=1, max_value=3)))
         for _ in range(matrix.cols)
     ]
-    rhs = matrix.matvec(x)
+    rhs = mat_vec(matrix, x)
     solution = solve_linear(matrix, rhs)
     assert solution is not None
-    assert matrix.matvec(solution) == rhs
+    assert mat_vec(matrix, solution) == rhs
 
 
 @st.composite
@@ -166,3 +166,40 @@ def test_rank_matches_sympy():
         assert rank(matrix) == sympy.Matrix(matrix.rows, matrix.cols, values).rank()
 
     check()
+
+
+def test_solve_matches_sympy():
+    # sympy's free parameters set to 0 give the echelon solution; sympy
+    # raises "no solution" exactly where solve_linear returns None
+    sympy = pytest.importorskip("sympy")
+
+    @given(matrices_with_zero_lines(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def check(matrix, data):
+        rhs = [
+            Fraction(data.draw(small_entries), data.draw(st.integers(min_value=1, max_value=3)))
+            for _ in range(matrix.rows)
+        ]
+        rational = lambda x: sympy.Rational(x.numerator, x.denominator)
+        a = sympy.Matrix(matrix.rows, matrix.cols, [rational(x) for row in matrix.entries for x in row])
+        b = sympy.Matrix(matrix.rows, 1, [rational(x) for x in rhs])
+        try:
+            solution, params = a.gauss_jordan_solve(b)
+        except ValueError as exc:
+            assert "no solution" in str(exc).lower()
+            expected = None
+        else:
+            solution = solution.subs({t: 0 for t in params})
+            expected = tuple(Fraction(int(v.p), int(v.q)) for v in solution)
+        assert solve_linear(matrix, rhs) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RationalMatrix([[1, 0.5]]),
+    lambda: solve_linear(RationalMatrix([[1]]), [0.1]),
+], ids=["RationalMatrix", "solve_linear"])
+def test_matrix_entries_and_rhs_refuse_floats(build):
+    with pytest.raises(ValueError, match="float"):
+        build()
