@@ -113,8 +113,7 @@ class TautMonomial(_Validated, namedtuple("TautMonomial", "m pairs hpows opoints
                 atoms.append(f"h{f}" if e == 1 else f"h{f}^{e}")
         return "*".join(atoms) if atoms else "1"
 
-    def __str__(self) -> str:
-        return self.canonical_str()
+    __str__ = canonical_str
 
 
 def _claim(factor: int, m: int, used: set[int]) -> None:
@@ -366,29 +365,30 @@ def class_codim(x: TautClass, params: ModelParams) -> int | None:
     return codims.pop()
 
 
-def _matchings(avail: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    if not avail:
+def _matchings(avail: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The matchings of exactly k pairs on the factors avail."""
+    if k == 0:
         yield ()
         return
+    if len(avail) < 2 * k:
+        return
     first, rest = avail[0], avail[1:]
-    yield from _matchings(rest)
-    for k in range(len(rest)):
-        partner = rest[k]
-        remaining = rest[:k] + rest[k + 1 :]
-        for sub in _matchings(remaining):
+    yield from _matchings(rest, k)
+    for idx, partner in enumerate(rest):
+        for sub in _matchings(rest[:idx] + rest[idx + 1 :], k - 1):
             yield ((first, partner),) + sub
 
 
 def _local_assignments(
     factors: tuple[int, ...], total: int, n: int
 ) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
-    # degree n on a factor means the point class o
-    if not factors:
-        if total == 0:
-            yield ((), ())
+    # degree n on a factor means the point class o; a factor takes only the
+    # degrees from which the rest can still reach the total (at most n each)
+    if total == 0:
+        yield (), ()
         return
     f, rest = factors[0], factors[1:]
-    for deg in range(min(n, total) + 1):
+    for deg in range(max(0, total - n * len(rest)), min(n, total) + 1):
         for hp, op in _local_assignments(rest, total - deg, n):
             if deg == 0:
                 yield hp, op
@@ -399,24 +399,27 @@ def _local_assignments(
 
 
 def enumerate_basis(params: ModelParams, m: int, codim: int) -> list[TautMonomial]:
-    """All normal-form monomials of the given codimension, in canonical order."""
+    """All normal-form monomials of the given codimension, in canonical order.
+
+    k tau pairs give codimension n*k and leave m - 2k factors of local
+    degree at most n, so only k with n*k <= codim <= n*(m - k) occur.
+    """
     if m < 1:
         raise ValueError("factor count must be >= 1")
     if codim < 0:
         raise ValueError("codimension must be >= 0")
     n = params.n
-    if codim > m * n:
-        return []
     out: list[TautMonomial] = []
     factors = tuple(range(1, m + 1))
-    for pairs in _matchings(factors):
-        rem = codim - n * len(pairs)
-        if rem < 0:
+    for k in range(min(m // 2, codim // n) + 1):
+        rem = codim - n * k
+        if rem > n * (m - 2 * k):
             continue
-        matched = {f for p in pairs for f in p}
-        unmatched = tuple(f for f in factors if f not in matched)
-        for hp, op in _local_assignments(unmatched, rem, n):
-            out.append(TautMonomial(m, pairs, hp, op))
+        for pairs in _matchings(factors, k):
+            matched = {f for p in pairs for f in p}
+            unmatched = tuple(f for f in factors if f not in matched)
+            for hp, op in _local_assignments(unmatched, rem, n):
+                out.append(TautMonomial(m, pairs, hp, op))
     out.sort(key=TautMonomial.canonical_str)
     return out
 

@@ -263,7 +263,6 @@ def is_zero_in_cohomology(x: TautClass, params: ModelParams) -> bool:
         opoints = tuple(f for f, e in zip(factors, key) if e == 0)
         duals += [
             TautClass.from_monomial(TautMonomial(x.m, pairs, hpows, opoints))
-            for pairs in _matchings(covered)
-            if 2 * len(pairs) == len(covered)  # only perfect matchings
+            for pairs in _matchings(covered, len(covered) // 2)
         ]
     return all(value.is_zero for value in push_products(x, duals, (), params))

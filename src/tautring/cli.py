@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""The tautring command line.
 
 Subcommands expose the library operations behind deterministic reports:
 `basis`, `mul`, `pair`, `gram`, `verify-ck`, `verify-mck`, `lemma-ok`,
@@ -48,11 +48,18 @@ class UsageError(Exception):
 
 # Largest basis `basis` and `gram` build, checked against basis_count first.
 BASIS_CAP = 10**6
+# Most factors a command works on: the m of `basis` and `gram`, the common m
+# of `mul` and `pair` operands.  Basis enumeration recurses once per factor.
+FACTOR_CAP = 256
 
-# Options as (flag, add_argument keywords); every subcommand takes _COMMON first.
-# The action "negatable" is argparse.BooleanOptionalAction (--x / --no-x).
+# The values each --profile fixes.
+_PROFILES = {"three-quadrics": {"d": 8}, "double-plane": {"n": 2, "d": 2}, "custom": {}}
+
+# Options as (flag, keywords): a flag without '-' is an operand; "type" int
+# reads the value through int(); the action "store_true" takes no value and
+# "negatable" adds --no-FLAG.  Every subcommand takes _COMMON first.
 _COMMON = (
-    ("--profile", {"choices": ["three-quadrics", "double-plane", "custom"], "default": "custom"}),
+    ("--profile", {"choices": list(_PROFILES), "default": "custom"}),
     ("--n", {"type": int}),
     ("--d", {"type": int}),
     ("--b", {"type": int}),
@@ -68,40 +75,31 @@ _OPERANDS = (
     ("--normalize-input", {"action": "negatable", "default": True}),
 )
 _CAP_GRAM = ("--cap-gram", {"type": int, "default": DEFAULT_GRAM_CAP})
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand; `main` runs it on what `_parse_table` declines."""
-    import argparse
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The namespace of an argv, or the help page it asks for.
 
-    parser = argparse.ArgumentParser(prog="tautring", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, options, *_) in COMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
-        p.register("action", "negatable", argparse.BooleanOptionalAction)
-        for flag, kwargs in _COMMON + options:
-            p.add_argument(flag, **kwargs)
-    return parser
-
-
-def _parse_table(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse gives a complete, well-formed argv, or None.
-
-    Read straight from the option table: an exact command name, exact
-    flags (the last of a repeated one wins, as in argparse), every value
-    the next token and not starting with '-', ints through int(), choices
-    and required options met, and exactly the command's positionals.
-    Everything else (help, --x=y, abbreviations, values starting with
-    '-', '--', every error) is left to argparse, so what it prints does
-    not change.
+    Read against the option table, left to right: the command first,
+    then exact flags (the last of a repeated one wins), each value given
+    as --flag=value or as the next token if that does not start with
+    '-', ints through int(), choices met.  Other tokens are operands, as
+    is everything after '--'.  A bad value raises UsageError at once; an
+    unknown option, a wrong number of operands or a missing required
+    option only at the end, so that a later -h or --help still answers.
     """
+    if argv[:1] and argv[0] in _HELP:
+        return _help(COMMANDS)
     if not argv or argv[0] not in COMMANDS:
-        return None
-    values = {"command": argv[0]}
+        given = f", not {argv[0]!r}" if argv else ""
+        raise UsageError(f"the command must be one of {', '.join(COMMANDS)}{given}")
+    name = argv[0]
+    values = {"command": name}
     flags: dict[str, tuple[str, dict]] = {}
     positionals: list[str] = []
-    required: list[str] = []
-    for flag, kwargs in _COMMON + COMMANDS[argv[0]][1]:
+    required: dict[str, str] = {}  # dest -> flag, until given
+    for flag, kwargs in _COMMON + COMMANDS[name][1]:
         dest = flag.lstrip("-").replace("-", "_")
         if flag[0] != "-":
             positionals.append(dest)
@@ -112,73 +110,105 @@ def _parse_table(argv: list[str]) -> SimpleNamespace | None:
         if action == "negatable":
             flags["--no-" + flag[2:]] = dest, kwargs
         if kwargs.get("required"):
-            required.append(dest)
-    seen: set[str] = set()
+            required[dest] = flag
+    unknown: list[str] = []
     given: list[str] = []
     tokens = iter(argv[1:])
     for token in tokens:
         if token[:1] != "-":
             given.append(token)
             continue
-        if token not in flags:
-            return None
-        dest, kwargs = flags[token]
-        seen.add(dest)
+        if token == "--":
+            given.extend(tokens)
+            break
+        if token in _HELP:
+            return _help({name: COMMANDS[name]})
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            unknown.append(token)
+            continue
+        dest, kwargs = flags[flag]
+        required.pop(dest, None)
         action = kwargs.get("action")
-        if action == "store_true":
-            values[dest] = True
-        elif action == "negatable":
-            values[dest] = not token.startswith("--no-")
-        else:
+        if action:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            values[dest] = action == "store_true" or not flag.startswith("--no-")
+            continue
+        if not eq:
             value = next(tokens, None)
             if value is None or value[:1] == "-":
-                return None
-            if kwargs.get("type") is int:
-                try:
-                    value = int(value)
-                except ValueError:
-                    return None
-            if "choices" in kwargs and value not in kwargs["choices"]:
-                return None
-            values[dest] = value
-    if len(given) != len(positionals) or not seen.issuperset(required):
-        return None
+                hint = "" if value is None else f", given as {flag}=VALUE if it starts with '-'"
+                raise UsageError(f"{flag} needs a value{hint}")
+        if kwargs.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag} needs an integer, not {value!r}") from None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            raise UsageError(f"{flag} must be one of {', '.join(kwargs['choices'])}, not {value!r}")
+        values[dest] = value
+    if unknown:
+        raise UsageError(f"{name} has no option {unknown[0]!r}")
+    if len(given) != len(positionals):
+        raise UsageError(f"{name} takes {len(positionals)} operands, not {len(given)}")
+    if required:
+        raise UsageError(f"{name} requires {' and '.join(required.values())}")
     values.update(zip(positionals, given))
     return SimpleNamespace(**values)
 
 
+def _help(commands: dict) -> str:
+    """The help page of the given commands, read from the option table."""
+    lines = ["usage: tautring COMMAND [OPERANDS] [OPTIONS]", "", __doc__ or "", "commands:"]
+    for name, (helptext, options, *_) in commands.items():
+        operands = [flag.upper() for flag, _ in options if flag[0] != "-"]
+        lines += [f"  {' '.join([name, *operands])}  {helptext}", *_option_lines(options, "      ")]
+    lines += ["options of every command:", *_option_lines(_COMMON, "  "), "  -h, --help  this page"]
+    return "\n".join(lines) + "\n"
+
+
+def _option_lines(options, indent: str) -> list[str]:
+    lines = []
+    for flag, kwargs in options:
+        if flag[0] != "-":
+            continue
+        if kwargs.get("action") == "negatable":
+            flag += f", --no-{flag[2:]}"
+        elif "action" not in kwargs:
+            flag += " " + "|".join(kwargs.get("choices", ["INT" if kwargs.get("type") else "VALUE"]))
+        note = "  (required)" if kwargs.get("required") else ""
+        if kwargs.get("default") is not None:
+            note = f"  (default: {kwargs['default']})"
+        lines.append(f"{indent}{flag}{note}  {kwargs.get('help', '')}".rstrip())
+    return lines
+
+
 def _resolve_params(args: SimpleNamespace) -> ModelParams:
-    n, d, b = args.n, args.d, args.b
-    if args.profile == "three-quadrics":
-        if d not in (None, 8):
-            raise UsageError("profile three-quadrics fixes d = 8")
-        d = 8
-        if n is None:
-            raise UsageError("profile three-quadrics requires --n")
-    elif args.profile == "double-plane":
-        if n not in (None, 2):
-            raise UsageError("profile double-plane fixes n = 2")
-        if d not in (None, 2):
-            raise UsageError("profile double-plane fixes d = 2")
-        n, d = 2, 2
-    else:
-        if n is None or d is None:
-            raise UsageError("profile custom requires --n and --d")
+    fixed = _PROFILES[args.profile]
+    for key, value in fixed.items():
+        if getattr(args, key) not in (None, value):
+            raise UsageError(f"profile {args.profile} fixes {key} = {value}")
+    n, d, b = fixed.get("n", args.n), fixed.get("d", args.d), args.b
+    if n is None or d is None:
+        needs = " and ".join(f"--{key}" for key in ("n", "d") if key not in fixed)
+        raise UsageError(f"profile {args.profile} requires {needs}")
     if b is None:
         raise UsageError("--b is required (no default Betti number is assumed)")
     try:
         delta = Fraction(args.delta) if args.delta is not None else None
     except ZeroDivisionError:
         raise UsageError(f"--delta {args.delta} has a zero denominator") from None
-    except TypeError:  # argparse reads --delta=-- as []
-        raise UsageError("--delta needs a value, as p or p/q") from None
     return ModelParams(n, d, b, delta)
 
 
-def _check_basis_cap(params, m, codim):
-    """Refuse a basis over BASIS_CAP monomials before building it; inputs
-    out of range are left to the library's own errors."""
-    if m >= 1 and 0 <= codim <= m * params.n:
+def _check_caps(params, m, codim=None):
+    """Refuse more than FACTOR_CAP factors, or a basis over BASIS_CAP
+    monomials, before any work; inputs out of range are left to the
+    library's own errors."""
+    if m > FACTOR_CAP:
+        raise ResourceLimitError(f"m={m} is over the factor cap {FACTOR_CAP}")
+    if codim is not None and m >= 1 and 0 <= codim <= m * params.n:
         size = basis_count(params, m, codim)
         if size > BASIS_CAP:
             raise ResourceLimitError(
@@ -187,7 +217,7 @@ def _check_basis_cap(params, m, codim):
 
 
 def _cmd_basis(args, params):
-    _check_basis_cap(params, args.m, args.codim)
+    _check_caps(params, args.m, args.codim)
     basis = enumerate_basis(params, args.m, args.codim)
     return "pass", {"count": len(basis), "monomials": [mono.canonical_str() for mono in basis]}
 
@@ -195,14 +225,11 @@ def _cmd_basis(args, params):
 def _parse_operands(args, params):
     """Both operands on a common number of factors, which becomes args.m
     (and so the m of the report's inputs)."""
-    x = parse_class(args.x, params, m=args.m, normalize=args.normalize_input)
-    y = parse_class(args.y, params, m=args.m, normalize=args.normalize_input)
+    x, y = (parse_class(text, params, m=args.m, normalize=args.normalize_input)
+            for text in (args.x, args.y))
     args.m = m = max(x.m, y.m)
-    if x.m < m:
-        x = pullback(x, m, tuple(range(1, x.m + 1)))
-    if y.m < m:
-        y = pullback(y, m, tuple(range(1, y.m + 1)))
-    return x, y
+    _check_caps(params, m)
+    return [c if c.m == m else pullback(c, m, tuple(range(1, c.m + 1))) for c in (x, y)]
 
 
 def _cmd_mul(args, params):
@@ -221,9 +248,9 @@ def _cmd_pair(args, params):
 
 
 def _cmd_gram(args, params):
-    _check_basis_cap(params, args.m, args.codim)
+    _check_caps(params, args.m, args.codim)
     report = gram(params, args.m, args.codim)
-    results = {
+    return "pass", {
         "basis_size": len(report.basis),
         "dual_size": len(report.dual_basis),
         "rank": report.rank,
@@ -231,7 +258,6 @@ def _cmd_gram(args, params):
         "basis": [mono.canonical_str() for mono in report.basis],
         "kernel": [format_class(cls, params) for cls in report.kernel_basis],
     }
-    return "pass", results
 
 
 def _cmd_verify_ck(args, params):
@@ -257,9 +283,7 @@ def _cmd_lemma_ok(args, params):
     for factor in (1, 2):
         try:
             product = expand_diagonal_times_h(params, factor)
-            checks.append(
-                {"factor": factor, "equal": True, "class": format_class(product, params)}
-            )
+            checks.append({"factor": factor, "equal": True, "class": format_class(product, params)})
         except ArithmeticError as exc:
             checks.append({"factor": factor, "equal": False, "class": str(exc)})
             passed = False
@@ -269,11 +293,11 @@ def _cmd_lemma_ok(args, params):
 
 def _cmd_gamma3(args, params):
     solution = solve_gamma3(params)
-    symmetric = True
-    for (i, j, k), value in solution.coefficients.items():
-        for perm in ((i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-            if solution.coefficients.get(perm) != value:
-                symmetric = False
+    symmetric = all(
+        solution.coefficients.get(perm) == value
+        for (i, j, k), value in solution.coefficients.items()
+        for perm in ((i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i))
+    )
     residual_zero = solution.residual.is_zero
     results = {
         "coefficients": {
@@ -342,12 +366,7 @@ def _report_dict(args, params, results, status, timing_ms):
             inputs[dest] = getattr(args, dest)
     report = {
         "command": args.command,
-        "params": {
-            "n": params.n,
-            "d": params.d,
-            "b": params.b,
-            "delta": str(params.delta),
-        },
+        "params": {"n": params.n, "d": params.d, "b": params.b, "delta": str(params.delta)},
         "inputs": inputs,
         "results": results,
         "status": status,
@@ -377,13 +396,9 @@ def _table(report: dict) -> tuple[tuple[str, ...], list[list]]:
 def _render_text(report: dict) -> str:
     lines = [f"command: {report['command']}"]
     params = report["params"]
-    lines.append(
-        f"params: n={params['n']} d={params['d']} b={params['b']} delta={params['delta']}"
-    )
+    lines.append(f"params: n={params['n']} d={params['d']} b={params['b']} delta={params['delta']}")
     if report["inputs"]:
-        lines.append(
-            "inputs: " + " ".join(f"{k}={v}" for k, v in report["inputs"].items())
-        )
+        lines.append("inputs: " + " ".join(f"{k}={v}" for k, v in report["inputs"].items()))
     columns, rows = _table(report)
     lines.append("  ".join(columns))
     for row in rows:
@@ -443,13 +458,7 @@ def _to_json(value, indent: str = "\n") -> str:
     raise TypeError(f"{value.__class__.__name__} is not a report value")
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(_to_json(report) + "\n")
-    elif fmt == "csv":
-        sys.stdout.write(_render_csv(report))
-    else:
-        sys.stdout.write(_render_text(report))
+_RENDERERS = {"json": lambda report: _to_json(report) + "\n", "csv": _render_csv, "text": _render_text}
 
 
 def main(argv=None) -> int:
@@ -473,13 +482,11 @@ def main(argv=None) -> int:
 
 
 def _run(argv: list[str]) -> int:
-    args = _parse_table(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return 0 if exc.code in (None, 0) else 2
     try:
+        args = _parse(argv)
+        if isinstance(args, str):  # the help page
+            sys.stdout.write(args)
+            return 0
         params = _resolve_params(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -496,7 +503,7 @@ def _run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2  # 1: a mathematical check failed
     timing = None if args.no_timing else round((time.perf_counter() - start) * 1000, 3)
-    _emit(_report_dict(args, params, results, status, timing), args.format)
+    sys.stdout.write(_RENDERERS[args.format](_report_dict(args, params, results, status, timing)))
     return {"pass": 0, "fail": 1, "error": 3}[status]
 
 

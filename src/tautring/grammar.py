@@ -147,31 +147,20 @@ def parse_class(
     rejected at the parse boundary.
     """
     sc = _Scanner(text)
-    terms: list[tuple[Fraction, list[tuple]]] = []
-    terms.append(_parse_term(sc))
+    terms = [_parse_term(sc)]
     while True:
         sc.skip_ws()
         ch = sc.peek()
-        if ch == "+":
-            sc.pos += 1
-            terms.append(_parse_term(sc))
-        elif ch == "-":
-            coeff, atoms = _parse_term(sc)  # leading '-' consumed by the term
-            terms.append((coeff, atoms))
-        elif ch == "":
+        if ch == "":
             break
-        else:
+        if ch not in "+-":
             raise ParseError("expected '+', '-' or end of input", sc.pos)
+        if ch == "+":
+            sc.pos += 1  # a leading '-' is consumed by the term
+        terms.append(_parse_term(sc))
 
-    max_index = 1
-    for _, atoms in terms:
-        for kind, i, j, _pos in atoms:
-            if kind == "t":
-                max_index = max(max_index, j)
-            elif kind in ("h", "o"):
-                max_index = max(max_index, i)
-    if m is None:
-        m = max_index
+    if m is None:  # the largest factor index (of a tau, its second)
+        m = max([1] + [j if kind == "t" else i for _, atoms in terms for kind, i, j, _ in atoms])
     for _, atoms in terms:
         for kind, i, j, pos in atoms:
             indices = (i, j) if kind == "t" else (i,) if kind in ("h", "o") else ()

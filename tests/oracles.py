@@ -14,12 +14,17 @@ every dropped factor, where the library pushes the product with the
 unit through `push_products`.  `tensor` multiplies the two pullbacks in
 full, where the library joins their monomials.  `verify_kimura_vanishing` runs the radical
 test on the alternating element and pairs it with every crossing
-matching, where the library pairs it with one.  The differential tests
-require each pair to agree exactly.
+matching, where the library pairs it with one.  `basis_by_all_matchings`
+walks every partial matching and every local degree, where the library
+enumerates only those that can reach the codimension.  The differential
+tests require each pair to agree exactly.  `argparse_parser` reads argv
+with argparse, where the CLI reads it from its option table; the parser
+tests name the argv on which the two may differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,6 +133,70 @@ def gram_scan(params: ModelParams, m_max: int, cap_gram: int) -> ScanTable:
     return ScanTable(params=params, m_max=m_max, rows=tuple(rows))
 
 
+def _all_matchings(avail: tuple[int, ...]):
+    if not avail:
+        yield ()
+        return
+    first, rest = avail[0], avail[1:]
+    yield from _all_matchings(rest)
+    for k in range(len(rest)):
+        partner = rest[k]
+        remaining = rest[:k] + rest[k + 1 :]
+        for sub in _all_matchings(remaining):
+            yield ((first, partner),) + sub
+
+
+def _all_local_assignments(factors: tuple[int, ...], total: int, n: int):
+    # degree n on a factor means the point class o
+    if not factors:
+        if total == 0:
+            yield ((), ())
+        return
+    f, rest = factors[0], factors[1:]
+    for deg in range(min(n, total) + 1):
+        for hp, op in _all_local_assignments(rest, total - deg, n):
+            if deg == 0:
+                yield hp, op
+            elif deg == n:
+                yield hp, (f,) + op
+            else:
+                yield ((f, deg),) + hp, op
+
+
+def basis_by_all_matchings(params: ModelParams, m: int, codim: int) -> list[TautMonomial]:
+    """The basis through every partial matching of the m factors."""
+    n = params.n
+    if codim > m * n:
+        return []
+    out: list[TautMonomial] = []
+    factors = tuple(range(1, m + 1))
+    for pairs in _all_matchings(factors):
+        rem = codim - n * len(pairs)
+        if rem < 0:
+            continue
+        matched = {f for p in pairs for f in p}
+        unmatched = tuple(f for f in factors if f not in matched)
+        for hp, op in _all_local_assignments(unmatched, rem, n):
+            out.append(TautMonomial(m, pairs, hp, op))
+    out.sort(key=TautMonomial.canonical_str)
+    return out
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The CLI's option table as an argparse parser, one subparser per command."""
+    from tautring.cli import _COMMON, COMMANDS
+
+    parser = argparse.ArgumentParser(prog="tautring")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (helptext, options, *_) in COMMANDS.items():
+        p = sub.add_parser(name, help=helptext)
+        for flag, kwargs in _COMMON + options:
+            if kwargs.get("action") == "negatable":
+                kwargs = dict(kwargs, action=argparse.BooleanOptionalAction)
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank of a rational matrix: the forward elimination alone."""
     return len(_bareiss(_integer_rows(matrix.entries), matrix.cols))
@@ -143,7 +212,7 @@ def _matching_gram_rank(params: ModelParams, k: int) -> int:
     """Rank r_k(delta) of the perfect-matching Gram matrix on 2k points,
     whose (mu, nu) entry is delta^cycles(mu union nu), by elimination."""
     points = tuple(range(1, 2 * k + 1))
-    monos = [TautMonomial(2 * k, pairs) for pairs in _matchings(points) if len(pairs) == k]
+    monos = [TautMonomial(2 * k, pairs) for pairs in _matchings(points, k)]
     return rank(RationalMatrix([[_mono_pairing(a, b, params) for b in monos] for a in monos]))
 
 

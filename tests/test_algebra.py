@@ -20,6 +20,7 @@ from tautring import (
     tau_class,
     unit_class,
 )
+import oracles
 from strategies import monomials
 
 P28_3 = ModelParams(2, 8, 3)
@@ -182,6 +183,13 @@ def test_enumerate_basis_matches_brute_force(n, m, codim):
     assert basis == sorted(basis, key=TautMonomial.canonical_str)
     for mono in basis:
         assert monomial_codim(mono, params) == codim
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (2, 4) for m in range(1, 8)])
+def test_enumerate_basis_matches_the_all_matchings_oracle(n, m):
+    params = ModelParams(n, 8, 3)
+    for codim in range(m * n + 2):
+        assert enumerate_basis(params, m, codim) == oracles.basis_by_all_matchings(params, m, codim)
 
 
 def test_enumerate_basis_preconditions():

@@ -7,7 +7,6 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
-from unittest import mock
 
 import hypothesis.strategies as st
 import jsonschema
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import tautring
+import oracles
 from tautring import cli
 from tautring.cli import main
 
@@ -202,9 +202,8 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 def test_cli_import_loads_every_layer_and_no_renderer_or_typing():
     # the benchmark tracer reads every layer from sys.modules after this
-    # import; csv loads only when a report is rendered in it, and argparse
-    # (with gettext) only for help and usage errors.  A well-formed command
-    # needs neither, and JSON is written without the json package.
+    # import; csv loads only when a report is rendered in it, no path loads
+    # argparse or gettext, and JSON is written without the json package.
     src = str(Path(tautring.__file__).resolve().parents[1])
     code = (
         "import sys, tautring.cli\n"
@@ -223,46 +222,140 @@ def test_cli_import_loads_every_layer_and_no_renderer_or_typing():
 
 
 SMALL = ["--n", "2", "--d", "8", "--b", "3"]
-ERROR_LINE = re.compile(r"(tautring( \S+)?: )?error: ")  # ours, or argparse's usage error
+ERROR_LINE = re.compile(r"error: [^\n]*\n")  # the whole of stderr, with fullmatch
 PARSE_CASES = (
     [[name, "--help"] for name in cli.COMMANDS]
     + [[name, "--n", "two"] for name in cli.COMMANDS]
     + [[name, "--bogus", "--no-timing"] + SMALL for name in cli.COMMANDS]
     + [
+        [],
+        ["-h"],
+        ["--help", "euler"],
+        ["no-such-command"],
+        ["eul"] + SMALL,
         ["basis", "--codim", "2"] + SMALL,
+        ["basis", "--m", "2"] + SMALL,
         ["gram", "--m", "2"] + SMALL,
         ["mul", "t(1,2)"] + SMALL,
+        ["mul", "t(1,2)", "1", "1"] + SMALL,
         ["pair"] + SMALL,
         ["scan"] + SMALL,
-        ["scan", "--m", "2", "--no-timing"] + SMALL,
+        ["scan", "--m", "2", "--no-timing"] + SMALL,  # an abbreviation of --m-max
+        ["scan", "--m-max", "x"] + SMALL,
         ["kimura", "--cap-b", "many"] + SMALL,
+        ["euler", "--delta", "-7/3"] + SMALL,  # a value starting with '-'
+        ["euler", "--n", "-2", "--d", "8", "--b", "3"],
+        ["euler", "--format", "yaml"] + SMALL,
+        ["euler", "--format=yaml"] + SMALL,
+        ["euler", "--no-timing=yes"] + SMALL,
+        ["euler", "--b"],
+        ["euler", "--bogus", "--help"],  # help still answers after an unknown option
+        ["euler", "--no-timing", "--", "--help"] + SMALL,  # after '--', operands
     ]
 )
 
 
-@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
-def test_help_and_malformed_argv_answer_through_argparse(capsys, argv):
-    # the table declines each of these; argparse prints help or reads an
-    # abbreviation (--m for --m-max) with exit 0, or names the problem on
-    # the last line of a usage error with exit 2
-    assert cli._parse_table(argv) is None
+def _read(argv):
+    """The parser's answer: the namespace as a dict, "help" or "error"."""
+    try:
+        args = cli._parse(argv)
+    except cli.UsageError:
+        return "error"
+    return "help" if isinstance(args, str) else vars(args)
+
+
+def _oracle(argv):
+    """argparse's answer, in the same terms."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(oracles.argparse_parser().parse_args(argv))
+        except SystemExit as exc:
+            return "help" if exc.code in (None, 0) else "error"
+
+
+def _read_otherwise(argv):
+    """Whether argparse may read argv otherwise than the table: a token
+    before '--' that starts with '-' and is no flag of the command (an
+    abbreviation, or a value or operand starting with '-', which argparse
+    may take for a negative number), or a value given as '=--' (read as []
+    before Python 3.13)."""
+    if not argv or argv[0] not in cli.COMMANDS:
+        return False
+    flags = {"-h", "--help"}
+    for flag, kwargs in cli._COMMON + cli.COMMANDS[argv[0]][1]:
+        flags |= {flag, "--no-" + flag[2:]} if kwargs.get("action") == "negatable" else {flag}
+    for token in argv[1:]:
+        if token == "--":
+            return False
+        name, eq, value = token.partition("=")
+        if token[:1] == "-" and (name not in flags or eq and value == "--"):
+            return True
+    return False
+
+
+def _without_spare_separator(argv):
+    """argv without its first '--' when no later token starts with '-':
+    argparse refuses a '--' that no operand follows, and reads such a tail
+    as operands anyway."""
+    if "--" in argv[1:]:
+        at = argv.index("--", 1)
+        if all(token[:1] != "-" for token in argv[at + 1 :]):
+            return argv[:at] + argv[at + 1 :]
+    return argv
+
+
+def _agrees_with_the_oracle(argv, ours):
+    theirs = _oracle(argv)
+    if ours != theirs:
+        theirs = _oracle(_without_spare_separator(argv))
+    return ours == theirs or _read_otherwise(argv)
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_help_and_malformed_argv_answer_in_one_line(capsys, argv):
+    # help goes to stdout with exit 0; a usage error is one line on stderr
+    # with exit 2 and nothing on stdout.  argparse answers the same way
+    # except where it reads an abbreviation or a value starting with '-'.
     code, out, err = run_cli(capsys, argv)
     if code == 0:
-        assert out and err == ""
+        assert out.startswith("usage: tautring ") and err == ""
     else:
-        assert (code, out) == (2, "")
-        assert ERROR_LINE.match(err.splitlines()[-1])
+        assert (code, out) == (2, "") and ERROR_LINE.fullmatch(err)
+    assert _read(argv) == ("help" if code == 0 else "error")
+    assert _agrees_with_the_oracle(argv, _read(argv))
 
 
-def test_build_parser_lists_every_command():
-    full = cli.build_parser().format_help()
-    for helptext, *_ in cli.COMMANDS.values():
-        assert helptext in full
+def test_help_page_names_every_command_option_and_choice(capsys):
+    code, page, err = run_cli(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    for name, (helptext, options, *_) in cli.COMMANDS.items():
+        assert f"\n  {name}" in page and helptext in page
+        for flag, kwargs in cli._COMMON + options:
+            assert (flag if flag[0] == "-" else flag.upper()) in page
+            assert all(choice in page for choice in kwargs.get("choices", ()))
+    assert "--no-normalize-input" in page
+    # a command's page lists its own options and the common ones
+    code, page, err = run_cli(capsys, ["scan", "-h"])
+    assert (code, err) == (0, "")
+    assert "--m-max" in page and "--profile" in page and "--cap-b" not in page
+
+
+def test_help_and_usage_errors_load_no_argparse():
+    src = str(Path(tautring.__file__).resolve().parents[1])
+    code = (
+        "import sys, tautring.cli\n"
+        "tautring.cli.main(['scan', '--help']); tautring.cli.main(['scan', '--m-max', 'x'])\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stderr.splitlines()[-1] == "[]"
 
 
 def test_gram_codimension_out_of_range_is_named(capsys):
     for codim in ("99", "-1"):
-        code, out, err = run_cli(capsys, ["gram", "--m", "2", "--codim", codim] + BASE)
+        code, out, err = run_cli(capsys, ["gram", "--m", "2", f"--codim={codim}"] + BASE)
         assert code == 2 and out == ""
         assert err == f"error: codimension {codim} is not in 0..m*n = 0..4\n"
 
@@ -345,6 +438,47 @@ def test_basis_cap_is_checked_before_building(monkeypatch, capsys):
     assert json.loads(out)["results"]["error"] == (
         "basis at m=3, codim=2 has 9 monomials, over the cap 5"
     )
+
+
+FACTOR_CAP_CASES = [
+    ("basis", ["--m", "2000", "--codim", "0"], 2000, ["monomial"]),
+    ("gram", ["--m", "2000", "--codim", "0"], 2000,
+     ["basis_size", "dual_size", "rank", "deficiency"]),
+    ("mul", ["h30000000", "o1"], 30000000, ["product", "codim"]),
+    ("pair", ["h30000000", "o1"], 30000000, ["value"]),
+]
+
+
+@pytest.mark.parametrize("command, args, m, header", FACTOR_CAP_CASES,
+                         ids=[case[0] for case in FACTOR_CAP_CASES])
+def test_factor_cap_is_checked_before_any_work(capsys, command, args, m, header):
+    code, out, err = run_cli(capsys, [command, *args, "--format", "json"] + BASE)
+    assert code == 3 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "error" and report["inputs"]["m"] == m
+    assert report["results"] == {"error": f"m={m} is over the factor cap {cli.FACTOR_CAP}"}
+    jsonschema.validate(report, load_schema())
+    code, out, _ = run_cli(capsys, [command, *args, "--format", "text"] + BASE)
+    assert code == 3 and out.splitlines()[-3:] == [
+        "  ".join(header), f"error: m={m} is over the factor cap {cli.FACTOR_CAP}", "status: error"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [(["basis", "--m", "60", "--codim", "2"], 3601), (["gram", "--m", "40", "--codim", "0"], 2)],
+    ids=["basis", "gram"],
+)
+def test_basis_work_grows_with_the_output(argv, count):
+    # the enumeration visits only pair counts and local degrees that can
+    # reach the codimension, so a small basis on many factors answers at once
+    src = str(Path(tautring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "tautring.cli", *argv, "--format", "csv",
+                           "--no-timing"] + SMALL, env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == count
 
 
 # Every value type a report holds; the float is timing_ms.
@@ -431,16 +565,21 @@ def _argvs(draw):
 
 
 @given(argv=_argvs())
-@example(argv=["euler", "--delta=--"] + SMALL)  # argparse reads the value as []
+@example(argv=["euler", "--delta=--"] + SMALL)  # argparse before 3.13 reads the value as []
+@example(argv=["euler", "--no-timing"] + SMALL + ["--"])  # argparse refuses a spare '--'
 @settings(max_examples=250, deadline=None)
-def test_table_parser_agrees_with_argparse(argv):
-    table = cli._parse_table(argv)
-    if table is not None:
-        assert vars(table) == vars(cli.build_parser().parse_args(argv))
-    # whether the table accepts or declines, main answers as it does through argparse alone
-    with mock.patch.object(cli, "_parse_table", lambda argv: None):
-        expected = _main_output(argv)
-    assert _main_output(argv) == expected
+def test_parser_agrees_with_the_argparse_oracle(argv):
+    ours = _read(argv)
+    assert _agrees_with_the_oracle(argv, ours)
+    # main answers with the help page, a report, or one error line
+    code, out, err = _main_output(argv)
+    if ours == "help":
+        assert (code, err) == (0, "") and out.startswith("usage: tautring ")
+    elif out:
+        assert ours != "error" and code != 2 and err == ""
+    else:
+        assert code == 2 if ours == "error" else code in (1, 2)
+        assert ERROR_LINE.fullmatch(err)
 
 
 # Small values for each option that takes one, caps of 0 and below included.
@@ -471,26 +610,29 @@ def _small_argvs(draw):
     for flag, kwargs in options:
         if flag[0] != "-":
             pieces.append([draw(st.sampled_from(_OPERANDS))])
-        elif flag in ("--n", "--d", "--b") or kwargs.get("required"):
-            pieces.append([flag, draw(st.sampled_from(_SMALL_VALUES[flag]))])
-        elif draw(st.booleans()):
+        elif flag in ("--n", "--d", "--b") or kwargs.get("required") or draw(st.booleans()):
             values = _SMALL_VALUES.get(flag)
-            pieces.append([flag] if values is None else [flag, draw(st.sampled_from(values))])
+            pieces.append([flag] if values is None else _given(flag, draw(st.sampled_from(values))))
     pieces += draw(st.lists(_pieces(options), max_size=1))
     return [name] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+def _given(flag, value):
+    """A flag and its value, joined by '=' when the value starts with '-'."""
+    return [f"{flag}={value}"] if value[:1] == "-" else [flag, value]
 
 
 @given(argv=_small_argvs())
 @settings(max_examples=500, deadline=None)
 def test_every_argv_ends_in_a_report_or_one_error_line(argv):
     # help and reports (a failed check exits 1, a cap 3) go to stdout alone;
-    # anything else exits 1 or 2 with an error line last on stderr
+    # anything else exits 1 or 2 with one error line on stderr
     code, out, err = _main_output(argv)
     assert code in (0, 1, 2, 3)
     if out:
         assert code != 2 and err == ""
     else:
-        assert code in (1, 2) and ERROR_LINE.match(err.splitlines()[-1])
+        assert code in (1, 2) and ERROR_LINE.fullmatch(err)
 
 
 @pytest.mark.parametrize(
@@ -502,37 +644,16 @@ def test_every_argv_ends_in_a_report_or_one_error_line(argv):
         + SMALL,
         ["verify-mck", "--profile", "double-plane", "--b", "4", "--delta", "1/2"],
         ["euler", "--n", "4", "--format", "csv", "--format", "json"] + SMALL,  # repeats
+        ["euler", "--delta=-7/3"] + SMALL,  # --flag=value
+        ["euler", "--n=2", "--d=8", "--b=3", "--format=csv", "--profile=custom"],
+        ["mul"] + SMALL + ["--", "-1", "t(1,2)"],  # after '--', operands
+        ["mul", "t(1,2)"] + SMALL + ["--", "o1"],
     ],
     ids=" ".join,
 )
-def test_table_parser_accepts_well_formed_argv(argv):
-    table = cli._parse_table(argv)
-    assert table is not None
-    assert vars(table) == vars(cli.build_parser().parse_args(argv))
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["euler", "--delta=-7/3"] + SMALL,  # --x=y
-        ["euler", "--delta", "-7/3"] + SMALL,  # a value starting with '-'
-        ["euler", "--n", "-2", "--d", "8", "--b", "3"],
-        ["scan", "--m", "2"] + SMALL,  # an abbreviation of --m-max
-        ["euler", "--no-timing", "--"] + SMALL,
-        ["euler", "-h"],
-        ["mul", "t(1,2)"] + SMALL,
-        ["mul", "t(1,2)", "1", "1"] + SMALL,
-        ["scan", "--m-max", "x"] + SMALL,
-        ["euler", "--format", "yaml"] + SMALL,
-        ["euler", "--b"],
-        ["basis", "--m", "2"] + SMALL,
-        ["eul"] + SMALL,
-        [],
-    ],
-    ids=lambda argv: " ".join(argv) or "(empty)",
-)
-def test_table_parser_leaves_the_rest_to_argparse(argv):
-    assert cli._parse_table(argv) is None
+def test_parser_reads_well_formed_argv_as_the_oracle(argv):
+    assert isinstance(_read(argv), dict)
+    assert _read(argv) == _oracle(argv)
 
 
 # The line the console script runs; main() without argv is the program.
@@ -540,7 +661,7 @@ PROGRAM = "import sys; from tautring.cli import main; sys.exit(main())"
 PROGRAM_CASES = [
     ["euler", "--no-timing"] + SMALL,  # a pass
     ["euler", "--n", "2", "--d", "8", "--no-timing"],  # a usage error, exit 2
-    ["scan", "--m-max", "x"] + SMALL,  # an argparse error, exit 2
+    ["scan", "--m-max", "x"] + SMALL,  # a bad value, exit 2
     ["kimura", "--n", "2", "--d", "8", "--b", "9", "--no-timing", "--format", "json"],  # a cap
     ["scan", "--help"],
     ["verify-mck", "--profile", "three-quadrics", "--n", "12", "--b", "22", "--no-timing",
@@ -549,10 +670,9 @@ PROGRAM_CASES = [
 
 
 @pytest.mark.parametrize("argv", PROGRAM_CASES, ids=" ".join)
-def test_program_answers_as_main_in_process(monkeypatch, argv):
+def test_program_answers_as_main_in_process(argv):
     # stdout is a pipe and block-buffered, so a report left unflushed at the
-    # early exit would be lost; COLUMNS fixes the width of argparse's help
-    monkeypatch.setenv("COLUMNS", "80")
+    # early exit would be lost
     src = str(Path(tautring.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONUNBUFFERED", None)

@@ -134,9 +134,7 @@ def test_kimura_pairing_matches_falling_factorial_for_all_matchings():
             element = kimura_element(params).cls
             base = falling_factorial_pairing(b, params.delta)
             crossings = 0
-            for pairs in _matchings(tuple(range(1, 2 * b + 1))):
-                if len(pairs) < b:
-                    continue  # perfect matchings only
+            for pairs in _matchings(tuple(range(1, 2 * b + 1)), b):  # perfect matchings
                 mono = TautMonomial(2 * b, pairs)
                 value = pair(element, TautClass.from_monomial(mono), params)
                 if all(i <= b < j for i, j in pairs):
