@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -76,6 +78,7 @@ _OPERANDS = (
 )
 _CAP_GRAM = ("--cap-gram", {"type": int, "default": DEFAULT_GRAM_CAP})
 _HELP = ("-h", "--help")
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")  # the p or p/q of --delta
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | str:
@@ -99,7 +102,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
     flags: dict[str, tuple[str, dict]] = {}
     positionals: list[str] = []
     required: dict[str, str] = {}  # dest -> flag, until given
-    for flag, kwargs in _COMMON + COMMANDS[name][1]:
+    for flag, kwargs in _COMMON + COMMANDS[name].options:
         dest = flag.lstrip("-").replace("-", "_")
         if flag[0] != "-":
             positionals.append(dest)
@@ -161,9 +164,10 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
 def _help(commands: dict) -> str:
     """The help page of the given commands, read from the option table."""
     lines = ["usage: tautring COMMAND [OPERANDS] [OPTIONS]", "", __doc__ or "", "commands:"]
-    for name, (helptext, options, *_) in commands.items():
-        operands = [flag.upper() for flag, _ in options if flag[0] != "-"]
-        lines += [f"  {' '.join([name, *operands])}  {helptext}", *_option_lines(options, "      ")]
+    for name, command in commands.items():
+        operands = [flag.upper() for flag, _ in command.options if flag[0] != "-"]
+        lines += [f"  {' '.join([name, *operands])}  {command.help}",
+                  *_option_lines(command.options, "      ")]
     lines += ["options of every command:", *_option_lines(_COMMON, "  "), "  -h, --help  this page"]
     return "\n".join(lines) + "\n"
 
@@ -195,11 +199,25 @@ def _resolve_params(args: SimpleNamespace) -> ModelParams:
         raise UsageError(f"profile {args.profile} requires {needs}")
     if b is None:
         raise UsageError("--b is required (no default Betti number is assumed)")
+    if args.delta is not None and not _RATIONAL.fullmatch(args.delta):
+        # Fraction would also read 1.5 or 1e30000000, the last by building 10**30000000
+        raise UsageError(f"Invalid literal for Fraction: {args.delta!r}")
     try:
         delta = Fraction(args.delta) if args.delta is not None else None
     except ZeroDivisionError:
         raise UsageError(f"--delta {args.delta} has a zero denominator") from None
     return ModelParams(n, d, b, delta)
+
+
+def _values(record):
+    """A library record as report values: a namedtuple as a dict of its
+    fields but params, a tuple as a list, a Fraction as its string."""
+    if isinstance(record, tuple):
+        if hasattr(record, "_fields"):
+            fields = zip(record._fields, record)
+            return {key: _values(value) for key, value in fields if key != "params"}
+        return [_values(value) for value in record]
+    return str(record) if isinstance(record, Fraction) else record
 
 
 def _check_caps(params, m, codim=None):
@@ -219,7 +237,7 @@ def _check_caps(params, m, codim=None):
 def _cmd_basis(args, params):
     _check_caps(params, args.m, args.codim)
     basis = enumerate_basis(params, args.m, args.codim)
-    return "pass", {"count": len(basis), "monomials": [mono.canonical_str() for mono in basis]}
+    return {"count": len(basis), "monomials": [mono.canonical_str() for mono in basis]}
 
 
 def _parse_operands(args, params):
@@ -239,18 +257,18 @@ def _cmd_mul(args, params):
         codim = class_codim(product, params)
     except ValueError:
         codim = None
-    return "pass", {"product": format_class(product, params), "codim": codim}
+    return {"product": format_class(product, params), "codim": codim}
 
 
 def _cmd_pair(args, params):
     x, y = _parse_operands(args, params)
-    return "pass", {"value": str(pair(x, y, params))}
+    return {"value": str(pair(x, y, params))}
 
 
 def _cmd_gram(args, params):
     _check_caps(params, args.m, args.codim)
     report = gram(params, args.m, args.codim)
-    return "pass", {
+    return {
         "basis_size": len(report.basis),
         "dual_size": len(report.dual_basis),
         "rank": report.rank,
@@ -260,35 +278,15 @@ def _cmd_gram(args, params):
     }
 
 
-def _cmd_verify_ck(args, params):
-    report = verify_ck(ck_projectors(params))
-    results = {"checks": [c._asdict() for c in report.checks], "passed": report.passed}
-    return ("pass" if report.passed else "fail"), results
-
-
-def _cmd_verify_mck(args, params):
-    report = verify_mck(params)
-    keys = ("i", "j", "k", "required_zero", "zero", "ok", "detail")  # MckCase's fields
-    results = {
-        "cases": [dict(zip(keys, case)) for case in report.cases],
-        "partition": [p._asdict() for p in report.partition],
-        "passed": report.passed,
-    }
-    return ("pass" if report.passed else "fail"), results
-
-
 def _cmd_lemma_ok(args, params):
     checks = []
-    passed = True
     for factor in (1, 2):
         try:
             product = expand_diagonal_times_h(params, factor)
             checks.append({"factor": factor, "equal": True, "class": format_class(product, params)})
         except ArithmeticError as exc:
             checks.append({"factor": factor, "equal": False, "class": str(exc)})
-            passed = False
-    results = {"checks": checks, "passed": passed}
-    return ("pass" if passed else "fail"), results
+    return {"checks": checks, "passed": all(check["equal"] for check in checks)}
 
 
 def _cmd_gamma3(args, params):
@@ -298,75 +296,70 @@ def _cmd_gamma3(args, params):
         for (i, j, k), value in solution.coefficients.items()
         for perm in ((i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i))
     )
-    residual_zero = solution.residual.is_zero
-    results = {
+    return {
         "coefficients": {
             f"{i},{j},{k}": str(v) for (i, j, k), v in sorted(solution.coefficients.items())
         },
         "residual": format_class(solution.residual, params),
-        "residual_zero": residual_zero,
+        "residual_zero": solution.residual.is_zero,
         "symmetric": symmetric,
     }
-    passed = residual_zero and symmetric
-    return ("pass" if passed else "fail"), results
 
 
 def _cmd_euler(args, params):
     value = euler_char(params)
     expected = Fraction(params.n + params.b)
-    results = {"value": str(value), "expected": str(expected), "match": value == expected}
-    return ("pass" if value == expected else "fail"), results
+    return {"value": str(value), "expected": str(expected), "match": value == expected}
 
 
-def _cmd_kimura(args, params):
-    report = verify_kimura_vanishing(params, cap_b=args.cap_b, cap_gram=args.cap_gram)
-    results = report._asdict()
-    del results["params"]
-    results["delta"] = str(report.delta)
-    return ("pass" if report.passed else "fail"), results
+# A command: its help line; its options after the common ones; run(args,
+# params) -> results; the columns and records of its table (see _table);
+# and checks, the results keys that must all be true for status pass.
+Command = namedtuple("Command", "help options run columns records checks", defaults=(None, ()))
 
-
-def _cmd_scan(args, params):
-    table = scan_injectivity(params, args.m_max, cap_gram=args.cap_gram)
-    return "pass", {"rows": [row._asdict() for row in table.rows]}
-
-
-# name -> (help, options after the common ones, handler, table columns,
-# table records), in the order of --help.  A handler returns (status,
-# results); _table reads the text and CSV rows from the results.
+# name -> Command, in the order of --help.  A command that reports a library
+# record runs _values on it.
 COMMANDS = {
-    "basis": ("enumerate a monomial basis", _M_CODIM, _cmd_basis, ("monomial",), "monomials"),
-    "mul": ("multiply two classes", _OPERANDS, _cmd_mul, ("product", "codim"), None),
-    "pair": ("intersection pairing", _OPERANDS, _cmd_pair, ("value",), None),
-    "gram": ("Gram matrix rank and kernel", _M_CODIM, _cmd_gram,
-             ("basis_size", "dual_size", "rank", "deficiency"), None),
-    "verify-ck": ("projector axioms", (), _cmd_verify_ck, ("name", "ok", "detail"), "checks"),
-    "verify-mck": ("multiplicativity of the projectors", (), _cmd_verify_mck,
-                   ("i", "j", "k", "required_zero", "zero", "ok"), "cases"),
-    "lemma-ok": ("diagonal-times-h expansion", (), _cmd_lemma_ok, ("factor", "equal"), "checks"),
-    "gamma3": ("modified small diagonal solve", (), _cmd_gamma3,
-               ("i", "j", "k", "coefficient"), "coefficients"),
-    "euler": ("Euler characteristic identity", (), _cmd_euler,
-              ("value", "expected", "match"), None),
-    "kimura": ("alternating relation vanishing",
-               (("--cap-b", {"type": int, "default": DEFAULT_B_CAP}), _CAP_GRAM), _cmd_kimura,
-               ("b", "delta", "vanishing", "crosscheck_ok", "dual_count"), None),
-    "scan": ("injectivity scan of Gram deficiencies",
-             (("--m-max", {"type": int, "required": True}), _CAP_GRAM), _cmd_scan,
-             ("m", "codim", "basis_size", "rank", "deficiency"), "rows"),
+    "basis": Command("enumerate a monomial basis", _M_CODIM, _cmd_basis, ("monomial",),
+                     "monomials"),
+    "mul": Command("multiply two classes", _OPERANDS, _cmd_mul, ("product", "codim")),
+    "pair": Command("intersection pairing", _OPERANDS, _cmd_pair, ("value",)),
+    "gram": Command("Gram matrix rank and kernel", _M_CODIM, _cmd_gram,
+                    ("basis_size", "dual_size", "rank", "deficiency")),
+    "verify-ck": Command("projector axioms", (), lambda a, p: _values(verify_ck(ck_projectors(p))),
+                         ("name", "ok", "detail"), "checks", ("passed",)),
+    "verify-mck": Command("multiplicativity of the projectors", (),
+                          lambda a, p: _values(verify_mck(p)),
+                          ("i", "j", "k", "required_zero", "zero", "ok"), "cases", ("passed",)),
+    "lemma-ok": Command("diagonal-times-h expansion", (), _cmd_lemma_ok, ("factor", "equal"),
+                        "checks", ("passed",)),
+    "gamma3": Command("modified small diagonal solve", (), _cmd_gamma3,
+                      ("i", "j", "k", "coefficient"), "coefficients",
+                      ("residual_zero", "symmetric")),
+    "euler": Command("Euler characteristic identity", (), _cmd_euler,
+                     ("value", "expected", "match"), checks=("match",)),
+    "kimura": Command("alternating relation vanishing",
+                      (("--cap-b", {"type": int, "default": DEFAULT_B_CAP}), _CAP_GRAM),
+                      lambda a, p: _values(verify_kimura_vanishing(p, a.cap_b, a.cap_gram)),
+                      ("b", "delta", "vanishing", "crosscheck_ok", "dual_count"),
+                      checks=("vanishing", "crosscheck_ok")),
+    "scan": Command("injectivity scan of Gram deficiencies",
+                    (("--m-max", {"type": int, "required": True}), _CAP_GRAM),
+                    lambda a, p: {"rows": _values(scan_injectivity(p, a.m_max, a.cap_gram).rows)},
+                    ("m", "codim", "basis_size", "rank", "deficiency"), "rows"),
 }
 
 
-def _report_dict(args, params, results, status, timing_ms):
+def _report_dict(args, shown_params, results, status, timing_ms):
     # the inputs are the command's own options that take a value
     inputs = {}
-    for flag, kwargs in COMMANDS[args.command][1]:
+    for flag, kwargs in COMMANDS[args.command].options:
         if "action" not in kwargs:
             dest = flag.lstrip("-").replace("-", "_")
             inputs[dest] = getattr(args, dest)
     report = {
         "command": args.command,
-        "params": {"n": params.n, "d": params.d, "b": params.b, "delta": str(params.delta)},
+        "params": shown_params,
         "inputs": inputs,
         "results": results,
         "status": status,
@@ -382,7 +375,8 @@ def _table(report: dict) -> tuple[tuple[str, ...], list[list]]:
     results[records]; with records None, the results themselves unless the
     run stopped at a cap.  gamma3's "i,j,k" -> coefficient map is split
     into cells and sorted by its string keys."""
-    columns, records = COMMANDS[report["command"]][3:]
+    command = COMMANDS[report["command"]]
+    columns, records = command.columns, command.records
     results = report["results"]
     if records is None:
         records = [] if "error" in results else [results]
@@ -488,22 +482,24 @@ def _run(argv: list[str]) -> int:
             sys.stdout.write(args)
             return 0
         params = _resolve_params(args)
+        shown = _values(params)  # the report's params, formatted where a usage error is one line
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handler = COMMANDS[args.command][2]
+    command = COMMANDS[args.command]
     start = time.perf_counter()
     try:
-        status, results = handler(args, params)
+        results = command.run(args, params)
+        status = "pass" if all(results[key] for key in command.checks) else "fail"
     except ResourceLimitError as exc:
         status, results = "error", {"error": str(exc)}
         if exc.partial is not None:  # the rows a scan finished
-            results["rows"] = [row._asdict() for row in exc.partial.rows]
+            results["rows"] = _values(exc.partial.rows)
     except (ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2  # 1: a mathematical check failed
     timing = None if args.no_timing else round((time.perf_counter() - start) * 1000, 3)
-    sys.stdout.write(_RENDERERS[args.format](_report_dict(args, params, results, status, timing)))
+    sys.stdout.write(_RENDERERS[args.format](_report_dict(args, shown, results, status, timing)))
     return {"pass": 0, "fail": 1, "error": 3}[status]
 
 

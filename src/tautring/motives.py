@@ -52,7 +52,7 @@ class CkReport(namedtuple("CkReport", "params checks passed")):
 
 
 class MckCase(
-    namedtuple("MckCase", "i j k required_zero is_zero ok detail", defaults=("",))
+    namedtuple("MckCase", "i j k required_zero zero ok detail", defaults=("",))
 ):
     __slots__ = ()
 

@@ -188,9 +188,9 @@ def argparse_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="tautring")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, options, *_) in COMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
-        for flag, kwargs in _COMMON + options:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in _COMMON + command.options:
             if kwargs.get("action") == "negatable":
                 kwargs = dict(kwargs, action=argparse.BooleanOptionalAction)
             p.add_argument(flag, **kwargs)

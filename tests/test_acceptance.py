@@ -101,7 +101,7 @@ def test_criterion_3_mck_condition():
         assert report.passed
         for case in report.cases:
             if case.i + case.j != case.k:
-                assert case.is_zero
+                assert case.zero
         assert all(check.ok for check in report.partition)
     _finish(3, "MCK condition", start, 60)
 

@@ -189,6 +189,77 @@ def test_arithmetic_error_ends_in_one_line_with_exit_1(capsys, monkeypatch):
     assert err == "error: no polynomial in h cancels the residual\n"
 
 
+def _first_check_fails(verify_ck):
+    def patched(projectors):
+        report = verify_ck(projectors)
+        check = report.checks[0]._replace(ok=False, detail="broken")
+        return report._replace(checks=(check, *report.checks[1:]), passed=False)
+    return patched
+
+
+def _a_required_zero_fails(verify_mck):
+    def patched(params):
+        report = verify_mck(params)
+        cases = list(report.cases)
+        at = next(i for i, case in enumerate(cases) if case.required_zero)
+        cases[at] = cases[at]._replace(zero=False, ok=False, detail="h1")
+        return report._replace(cases=tuple(cases), passed=False)
+    return patched
+
+
+def _factor_2_fails(expand_diagonal_times_h):
+    def patched(params, factor):
+        if factor == 2:
+            raise ArithmeticError("the expansion does not close")
+        return expand_diagonal_times_h(params, factor)
+    return patched
+
+
+def _asymmetric(solve_gamma3):
+    def patched(params):
+        solution = solve_gamma3(params)
+        coefficients = dict(solution.coefficients)
+        coefficients[0, 2, 2] += 1
+        return solution._replace(coefficients=coefficients)
+    return patched
+
+
+# command, the library call it makes, a patch of that call that makes
+# exactly one check false, the failing JSON record (results key, index)
+# and the failing CSV row
+FAIL_CASES = [
+    ("verify-ck", "verify_ck", _first_check_fails, ("checks", 0), "idempotent[0],False,broken"),
+    ("verify-mck", "verify_mck", _a_required_zero_fails, ("cases", 1), "0,0,2,True,False,False"),
+    ("lemma-ok", "expand_diagonal_times_h", _factor_2_fails, ("checks", 1), "2,False"),
+    ("gamma3", "solve_gamma3", _asymmetric, None, "0,2,2,65/64"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command, call, patch, record, row", FAIL_CASES,
+                         ids=[case[0] for case in FAIL_CASES])
+def test_one_false_check_fails_the_command(capsys, monkeypatch, command, call, patch, record,
+                                           row, fmt):
+    monkeypatch.setattr(cli, call, patch(getattr(cli, call)))
+    code, out, err = run_cli(capsys, [command, "--format", fmt] + BASE)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        report = json.loads(out)
+        jsonschema.validate(report, load_schema())
+        assert report["status"] == "fail"
+        # the declared pass rule: exactly one of the command's checks is false
+        checks = [report["results"][key] for key in cli.COMMANDS[command].checks]
+        assert checks.count(False) == 1 and checks.count(True) == len(checks) - 1
+        if record is not None:
+            key, at = record
+            assert False in report["results"][key][at].values()
+    elif fmt == "csv":
+        assert row in out.splitlines()
+    else:
+        assert "  ".join(row.split(",")) in out.splitlines()
+        assert out.endswith("status: fail\n")
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Each command is its own process, so what `import tautring.cli` loads is
     # paid on every run; dataclasses alone pulls in inspect, ast, dis and tokenize.
@@ -282,7 +353,7 @@ def _read_otherwise(argv):
     if not argv or argv[0] not in cli.COMMANDS:
         return False
     flags = {"-h", "--help"}
-    for flag, kwargs in cli._COMMON + cli.COMMANDS[argv[0]][1]:
+    for flag, kwargs in cli._COMMON + cli.COMMANDS[argv[0]].options:
         flags |= {flag, "--no-" + flag[2:]} if kwargs.get("action") == "negatable" else {flag}
     for token in argv[1:]:
         if token == "--":
@@ -328,9 +399,9 @@ def test_help_and_malformed_argv_answer_in_one_line(capsys, argv):
 def test_help_page_names_every_command_option_and_choice(capsys):
     code, page, err = run_cli(capsys, ["--help"])
     assert (code, err) == (0, "")
-    for name, (helptext, options, *_) in cli.COMMANDS.items():
-        assert f"\n  {name}" in page and helptext in page
-        for flag, kwargs in cli._COMMON + options:
+    for name, command in cli.COMMANDS.items():
+        assert f"\n  {name}" in page and command.help in page
+        for flag, kwargs in cli._COMMON + command.options:
             assert (flag if flag[0] == "-" else flag.upper()) in page
             assert all(choice in page for choice in kwargs.get("choices", ()))
     assert "--no-normalize-input" in page
@@ -551,7 +622,7 @@ def _argvs(draw):
     break it: every option gets a good value, some are dropped, random
     pieces are added, and the order is shuffled."""
     name = draw(st.sampled_from(list(cli.COMMANDS)))
-    options = cli._COMMON + cli.COMMANDS[name][1]
+    options = cli._COMMON + cli.COMMANDS[name].options
     good = {"--n": "2", "--d": "8", "--b": "3", "--m": "2", "--codim": "2", "--m-max": "2",
             "--cap-gram": "100", "--cap-b": "3", "--profile": "custom", "--format": "json"}
     pieces = [["--no-timing"]]
@@ -588,7 +659,7 @@ _SMALL_VALUES = {
     "--n": ("2", "4"),
     "--d": ("2", "8"),
     "--b": ("1", "2", "3", "4"),
-    "--delta": ("0", "1/2", "2", "1/0"),
+    "--delta": ("0", "1/2", "2", "1/0", "1e5000"),
     "--format": ("json", "csv", "text"),
     "--m": ("0", "1", "2", "3", "4"),
     "--codim": ("-1", "0", "2", "4", "9"),
@@ -605,7 +676,7 @@ def _small_argvs(draw):
     the others left out or given one, operands from a short list, and at
     most one malformed piece, in any order."""
     name = draw(st.sampled_from(list(cli.COMMANDS)))
-    options = cli._COMMON + cli.COMMANDS[name][1]
+    options = cli._COMMON + cli.COMMANDS[name].options
     pieces = []
     for flag, kwargs in options:
         if flag[0] != "-":

@@ -76,6 +76,7 @@ GOLDEN_ARGV = [f"{command} --format {fmt} --no-timing"
     # usage and structural errors
     f"euler {SMALL} --delta 1/0 --no-timing",
     f"euler {SMALL} --delta x --no-timing",
+    f"pair h1 h1 --m=1 --delta=1e5000 {SMALL} --no-timing",  # not read as 10**5000
     "euler --n 3 --d 8 --b 2 --no-timing",
     f"gram --m 2 --codim 9 {SMALL} --no-timing",
     f"mul h1^9 1 {SMALL} --no-normalize-input --no-timing",

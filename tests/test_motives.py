@@ -192,7 +192,7 @@ def test_verify_mck_passes():
     assert len(report.cases) == 27
     for case in report.cases:
         if case.i + case.j != case.k:
-            assert case.is_zero
+            assert case.zero
 
 
 @pytest.mark.parametrize(
