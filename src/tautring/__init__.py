@@ -33,11 +33,9 @@ from .calculus import (
 )
 from .grammar import ParseError, format_class, parse_class
 from .kimura import (
-    KimuraElement,
     KimuraReport,
     ResourceLimitError,
     ScanRow,
-    ScanTable,
     falling_factorial_pairing,
     kimura_element,
     scan_injectivity,

@@ -171,7 +171,7 @@ class GramBlock(namedtuple("GramBlock", "rows cols entries")):
 
 
 class GramReport(
-    namedtuple("GramReport", "params m codim basis dual_basis blocks rank kernel_basis")
+    namedtuple("GramReport", "basis dual_basis blocks rank kernel_basis")
 ):
     """Pairing matrix of a codimension basis against its complementary basis.
 
@@ -236,9 +236,6 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
             kernel.append((rows[free], TautClass(m, terms)))
     kernel.sort(key=lambda item: item[0])
     return GramReport(
-        params=params,
-        m=m,
-        codim=codim,
         basis=tuple(basis),
         dual_basis=tuple(dual),
         blocks=tuple(blocks),

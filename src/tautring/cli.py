@@ -211,11 +211,10 @@ def _resolve_params(args: SimpleNamespace) -> ModelParams:
 
 def _values(record):
     """A library record as report values: a namedtuple as a dict of its
-    fields but params, a tuple as a list, a Fraction as its string."""
+    fields, a tuple as a list, a Fraction as its string."""
     if isinstance(record, tuple):
         if hasattr(record, "_fields"):
-            fields = zip(record._fields, record)
-            return {key: _values(value) for key, value in fields if key != "params"}
+            return {key: _values(value) for key, value in zip(record._fields, record)}
         return [_values(value) for value in record]
     return str(record) if isinstance(record, Fraction) else record
 
@@ -345,7 +344,7 @@ COMMANDS = {
                       checks=("vanishing", "crosscheck_ok")),
     "scan": Command("injectivity scan of Gram deficiencies",
                     (("--m-max", {"type": int, "required": True}), _CAP_GRAM),
-                    lambda a, p: {"rows": _values(scan_injectivity(p, a.m_max, a.cap_gram).rows)},
+                    lambda a, p: {"rows": _values(scan_injectivity(p, a.m_max, a.cap_gram))},
                     ("m", "codim", "basis_size", "rank", "deficiency"), "rows"),
 }
 
@@ -494,7 +493,7 @@ def _run(argv: list[str]) -> int:
     except ResourceLimitError as exc:
         status, results = "error", {"error": str(exc)}
         if exc.partial is not None:  # the rows a scan finished
-            results["rows"] = _values(exc.partial.rows)
+            results["rows"] = _values(exc.partial)
     except (ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2  # 1: a mathematical check failed

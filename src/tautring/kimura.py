@@ -52,14 +52,9 @@ def _sign(perm: Sequence[int]) -> int:
     return -1 if (len(perm) - _cycle_count(perm)) % 2 else 1
 
 
-class KimuraElement(namedtuple("KimuraElement", "b cls")):
-    """Alternating sum of block matchings on 2b factors; b! terms, signs +-1."""
-
-    __slots__ = ()
-
-
-def kimura_element(params: ModelParams, cap_b: int = DEFAULT_B_CAP) -> KimuraElement:
-    """Build sum over sigma of sign(sigma) * prod_i tau_(i, b+sigma(i))."""
+def kimura_element(params: ModelParams, cap_b: int = DEFAULT_B_CAP) -> TautClass:
+    """Build sum over sigma of sign(sigma) * prod_i tau_(i, b+sigma(i)), the
+    alternating sum of block matchings on 2b factors: b! terms, signs +-1."""
     b = params.b
     if b > cap_b:
         raise ResourceLimitError(f"b={b} exceeds the cap {cap_b} ({b}! terms)")
@@ -68,7 +63,7 @@ def kimura_element(params: ModelParams, cap_b: int = DEFAULT_B_CAP) -> KimuraEle
     for perm in itertools.permutations(range(1, b + 1)):
         pairs = tuple((i, b + perm[i - 1]) for i in range(1, b + 1))
         terms[TautMonomial(m, pairs)] = Fraction(_sign(perm))
-    return KimuraElement(b=b, cls=TautClass(m, terms))
+    return TautClass(m, terms)
 
 
 def falling_factorial_pairing(b: int, delta: Fraction | int, cap_b: int = DEFAULT_B_CAP) -> Fraction:
@@ -87,14 +82,7 @@ def falling_factorial_pairing(b: int, delta: Fraction | int, cap_b: int = DEFAUL
     return total
 
 
-class KimuraReport(
-    namedtuple("KimuraReport", "params b delta vanishing crosscheck_ok dual_count")
-):
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.vanishing and self.crosscheck_ok
+KimuraReport = namedtuple("KimuraReport", "b delta vanishing crosscheck_ok dual_count")
 
 
 def verify_kimura_vanishing(
@@ -121,16 +109,15 @@ def verify_kimura_vanishing(
     `dual_count` against `cap_gram`, both before any pairing.
     """
     element = kimura_element(params, cap_b)
-    b, m = element.b, 2 * params.b
+    b, m = params.b, 2 * params.b
     dual_count = basis_count(params, m, b * params.n)
     if dual_count > cap_gram:
         raise ResourceLimitError(
             f"dual basis has {dual_count} monomials, over the Gram cap {cap_gram}"
         )
     identity = TautMonomial(m, tuple((i, b + i) for i in range(1, b + 1)))
-    value = pair(element.cls, TautClass.from_monomial(identity), params)
+    value = pair(element, TautClass.from_monomial(identity), params)
     return KimuraReport(
-        params=params,
         b=b,
         delta=params.delta,
         vanishing=value == 0,
@@ -139,21 +126,19 @@ def verify_kimura_vanishing(
     )
 
 
-class ScanRow(namedtuple("ScanRow", "m codim basis_size rank deficiency")):
-    __slots__ = ()
+ScanRow = namedtuple("ScanRow", "m codim basis_size rank deficiency")
 
 
-class ScanTable(namedtuple("ScanTable", "params m_max rows")):
-    __slots__ = ()
-
-
-def _partitions(k: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of k with parts at most `largest`, largest part first."""
+def _partitions(k: int, largest: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of k into at most `parts` parts, each at most `largest`,
+    largest part first."""
     if k == 0:
         yield ()
         return
     for first in range(min(k, largest), 0, -1):
-        for rest in _partitions(k - first, first):
+        if first * parts < k:  # the other parts, none larger, cannot make up k
+            break
+        for rest in _partitions(k - first, first, parts - 1):
             yield (first,) + rest
 
 
@@ -182,26 +167,32 @@ def _matching_gram_rank(params: ModelParams, k: int) -> int:
 
     The matchings span the sum of the S_2k-irreducibles S^(2 lambda) over
     the partitions lambda of k, each once, and the matrix is a scalar on
-    each, so the rank adds up f^(2 lambda) over the nonzero scalars.
+    each, so the rank adds up f^(2 lambda) over the nonzero scalars.  At
+    an integer delta = N >= 0 a shape of more than N rows has the cell
+    (N, 0), whose factor delta - N is 0, so only shapes of at most N rows
+    are generated.
     """
+    delta = params.delta
+    rows = int(delta) if delta.denominator == 1 and delta >= 0 else k
     return sum(
         _doubled_shape_dimension(shape)
-        for shape in _partitions(k, k)
-        if _matching_eigenvalue(shape, params.delta)
+        for shape in _partitions(k, k, rows)
+        if _matching_eigenvalue(shape, delta)
     )
 
 
 def scan_injectivity(
     params: ModelParams, m_max: int, cap_gram: int = DEFAULT_GRAM_CAP
-) -> ScanTable:
-    """Gram rank deficiencies for every power up to m_max and every codimension.
+) -> tuple[ScanRow, ...]:
+    """Gram rank deficiencies for every power up to m_max and every codimension,
+    one row per (m, codim).
 
     Every Gram block with k tau pairs is d^(h-pairs) times the matching
     Gram matrix on 2k points, and there are C(m, 2k) * A(m - 2k, codim - nk)
     such blocks, so the rank is a sum over k of block counts times r_k,
     each r_k in closed form.  A cell's basis and dual basis have the same
     size (local degrees e <-> n - e).  Raises ResourceLimitError carrying
-    the partial table when that size exceeds the cap.
+    the rows finished so far when that size exceeds the cap.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -214,7 +205,7 @@ def scan_injectivity(
             if size > cap_gram:
                 raise ResourceLimitError(
                     f"Gram dimension {size} at m={m}, codim={codim} exceeds the cap {cap_gram}",
-                    partial=ScanTable(params=params, m_max=m_max, rows=tuple(rows)),
+                    partial=tuple(rows),
                 )
             total = 0
             for k in range(min(m // 2, codim // n) + 1):
@@ -224,4 +215,4 @@ def scan_injectivity(
                         ranks[k] = _matching_gram_rank(params, k)
                     total += blocks * ranks[k]
             rows.append(ScanRow(m=m, codim=codim, basis_size=size, rank=total, deficiency=size - total))
-    return ScanTable(params=params, m_max=m_max, rows=tuple(rows))
+    return tuple(rows)

@@ -43,22 +43,10 @@ class Correspondence(_Validated, namedtuple("Correspondence", "cls s t")):
         return tuple.__new__(_cls, (cls, s, t))
 
 
-class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
-    __slots__ = ()
-
-
-class CkReport(namedtuple("CkReport", "params checks passed")):
-    __slots__ = ()
-
-
-class MckCase(
-    namedtuple("MckCase", "i j k required_zero zero ok detail", defaults=("",))
-):
-    __slots__ = ()
-
-
-class MckReport(namedtuple("MckReport", "params cases partition passed")):
-    __slots__ = ()
+CheckResult = namedtuple("CheckResult", "name ok detail", defaults=("",))
+CkReport = namedtuple("CkReport", "checks passed")
+MckCase = namedtuple("MckCase", "i j k required_zero zero ok detail", defaults=("",))
+MckReport = namedtuple("MckReport", "cases partition passed")
 
 
 class ProjectorSet:
@@ -193,7 +181,7 @@ def verify_ck(ps: ProjectorSet) -> CkReport:
     checks.append(
         CheckResult("sum=diagonal", ok, "" if ok else f"sum - diagonal = {format_class(diff, params)}")
     )
-    return CkReport(params=params, checks=tuple(checks), passed=all(c.ok for c in checks))
+    return CkReport(checks=tuple(checks), passed=all(c.ok for c in checks))
 
 
 def small_diagonal(params: ModelParams) -> TautClass:
@@ -242,7 +230,7 @@ def verify_mck(params: ModelParams) -> MckReport:
             )
         )
     passed = all(c.ok for c in cases) and all(p.ok for p in partition)
-    return MckReport(params=params, cases=tuple(cases), partition=tuple(partition), passed=passed)
+    return MckReport(cases=tuple(cases), partition=tuple(partition), passed=passed)
 
 
 def act(f: Correspondence, x: TautClass, params: ModelParams) -> TautClass:
@@ -283,8 +271,8 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
     over exponent triples i + j + k = 2n with each exponent at most n
     (exponent n realized through o).  Each h1^i h2^j h3^k is a single
     monomial times a power of d, distinct for distinct triples, so a_ijk
-    is read off the gap's coefficient there; the system is solvable
-    exactly when that leaves no residual.
+    is read off the gap's coefficient there.  What is left is the
+    residual, zero exactly when the system is solvable.
     """
     n = params.n
     diag = diagonal_class(params)
@@ -303,10 +291,7 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
             value = -gap.coefficient(mono) / scale
             coefficients[i, j, k] = value
             residual[mono] = residual.get(mono, 0) + value * scale
-    residual = TautClass(3, residual)
-    if not residual.is_zero:
-        raise ArithmeticError("no polarization polynomial cancels the small diagonal")
-    return Gamma3Solution(coefficients=coefficients, residual=residual)
+    return Gamma3Solution(coefficients=coefficients, residual=TautClass(3, residual))
 
 
 def euler_char(params: ModelParams) -> Fraction:

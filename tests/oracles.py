@@ -5,7 +5,9 @@ eliminate the whole matrix at once; the library splits the same
 computation into blocks.  `gram_scan` builds a full Gram report per
 cell where the library uses the closed-form block count, and
 `_matching_gram_rank` eliminates the matching Gram matrix whose rank the
-library reads off its eigenvalues.  `solve_gamma3` solves the linear
+library reads off its eigenvalues, and `matching_gram_rank_by_all_shapes`
+sums those eigenvalues' multiplicities over every partition, where the
+library skips the shapes too tall to count at an integer loop value.  `solve_gamma3` solves the linear
 system whose solution the library reads off monomial by monomial.
 `compose` and `verify_mck` form every product on the triple product and
 then push forward, where the library forms only the products that
@@ -40,7 +42,6 @@ from tautring import (
     RationalMatrix,
     ResourceLimitError,
     ScanRow,
-    ScanTable,
     TautClass,
     TautMonomial,
     basis_count,
@@ -62,7 +63,14 @@ from tautring import (
 )
 from tautring.algebra import _matchings
 from tautring.calculus import _mono_pairing
-from tautring.kimura import DEFAULT_B_CAP, DEFAULT_GRAM_CAP, _sign
+from tautring.kimura import (
+    DEFAULT_B_CAP,
+    DEFAULT_GRAM_CAP,
+    _doubled_shape_dimension,
+    _matching_eigenvalue,
+    _partitions,
+    _sign,
+)
 from tautring.linalg import _bareiss, _integer_rows
 from tautring.motives import diagonal_class, small_diagonal
 
@@ -105,7 +113,7 @@ def dense_is_zero_in_cohomology(x: TautClass, params: ModelParams) -> bool:
     return True
 
 
-def gram_scan(params: ModelParams, m_max: int, cap_gram: int) -> ScanTable:
+def gram_scan(params: ModelParams, m_max: int, cap_gram: int) -> tuple[ScanRow, ...]:
     """The injectivity scan through one full Gram report per (m, codim)."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -118,7 +126,7 @@ def gram_scan(params: ModelParams, m_max: int, cap_gram: int) -> ScanTable:
                 raise ResourceLimitError(
                     f"Gram dimension {max(size, dual_size)} at m={m}, codim={codim} "
                     f"exceeds the cap {cap_gram}",
-                    partial=ScanTable(params=params, m_max=m_max, rows=tuple(rows)),
+                    partial=tuple(rows),
                 )
             report = gram(params, m, codim)
             rows.append(
@@ -130,7 +138,7 @@ def gram_scan(params: ModelParams, m_max: int, cap_gram: int) -> ScanTable:
                     deficiency=len(report.kernel_basis),
                 )
             )
-    return ScanTable(params=params, m_max=m_max, rows=tuple(rows))
+    return tuple(rows)
 
 
 def _all_matchings(avail: tuple[int, ...]):
@@ -214,6 +222,16 @@ def _matching_gram_rank(params: ModelParams, k: int) -> int:
     points = tuple(range(1, 2 * k + 1))
     monos = [TautMonomial(2 * k, pairs) for pairs in _matchings(points, k)]
     return rank(RationalMatrix([[_mono_pairing(a, b, params) for b in monos] for a in monos]))
+
+
+def matching_gram_rank_by_all_shapes(params: ModelParams, k: int) -> int:
+    """r_k(delta) as the sum of f^(2 lambda) over every partition lambda of
+    k whose eigenvalue is nonzero."""
+    return sum(
+        _doubled_shape_dimension(shape)
+        for shape in _partitions(k, k, k)
+        if _matching_eigenvalue(shape, params.delta)
+    )
 
 
 def solve_gamma3(params: ModelParams) -> Gamma3Solution:
@@ -315,7 +333,7 @@ def verify_mck(params: ModelParams) -> MckReport:
                 )
             )
     passed = all(c.ok for c in cases) and all(p.ok for p in partition)
-    return MckReport(params=params, cases=tuple(cases), partition=tuple(partition), passed=passed)
+    return MckReport(cases=tuple(cases), partition=tuple(partition), passed=passed)
 
 
 def verify_kimura_vanishing(
@@ -325,23 +343,22 @@ def verify_kimura_vanishing(
     and its pairing with every crossing matching against the signed
     falling factorial."""
     element = kimura_element(params, cap_b)
-    b, m = element.b, 2 * params.b
+    b, m = params.b, 2 * params.b
     dual_count = basis_count(params, m, b * params.n)
     if dual_count > cap_gram:
         raise ResourceLimitError(
             f"dual basis has {dual_count} monomials, over the Gram cap {cap_gram}"
         )
-    vanishing = is_zero_in_cohomology(element.cls, params)
+    vanishing = is_zero_in_cohomology(element, params)
     expected = falling_factorial_pairing(b, params.delta, cap_b)
     crosscheck_ok = True
     for rho in itertools.permutations(range(1, b + 1)):
         mono = TautMonomial(m, tuple((i, b + rho[i - 1]) for i in range(1, b + 1)))
-        value = pair(element.cls, TautClass.from_monomial(mono), params)
+        value = pair(element, TautClass.from_monomial(mono), params)
         if value != _sign(rho) * expected:
             crosscheck_ok = False
             break
     return KimuraReport(
-        params=params,
         b=b,
         delta=params.delta,
         vanishing=vanishing,

@@ -260,6 +260,61 @@ def test_one_false_check_fails_the_command(capsys, monkeypatch, command, call, p
         assert out.endswith("status: fail\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_gamma3_reports_a_residual_no_polynomial_cancels(capsys, monkeypatch, fmt):
+    # a stray t(1,2)*o3 in the small diagonal is left over by every
+    # h-polynomial; the report shows it and fails
+    import tautring.motives as motives
+
+    small_diagonal = motives.small_diagonal
+    stray = tautring.TautClass.from_monomial(tautring.TautMonomial(3, ((1, 2),), opoints=(3,)))
+    monkeypatch.setattr(motives, "small_diagonal", lambda params: small_diagonal(params) + stray)
+    code, out, err = run_cli(capsys, ["gamma3", "--format", fmt] + BASE)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        report = json.loads(out)
+        jsonschema.validate(report, load_schema())
+        assert report["status"] == "fail"
+        assert report["results"]["residual_zero"] is False
+        assert report["results"]["residual"] == "t(1,2)*o3"
+    elif fmt == "csv":
+        assert out.startswith("i,j,k,coefficient\n")
+    else:
+        assert out.splitlines()[-1] == "status: fail"
+
+
+# commands whose results are one library record, and the call that makes it
+RECORD_CALLS = [
+    ("verify-ck", lambda params: tautring.verify_ck(tautring.ck_projectors(params))),
+    ("verify-mck", tautring.verify_mck),
+    ("kimura", tautring.verify_kimura_vanishing),
+]
+
+
+@pytest.mark.parametrize("command, call", RECORD_CALLS, ids=[case[0] for case in RECORD_CALLS])
+def test_a_record_holds_exactly_the_results_of_its_report(capsys, command, call):
+    argv = [command, "--n", "2", "--d", "8", "--b", "2", "--no-timing", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    record = call(tautring.ModelParams(2, 8, 2))
+    assert list(results) == list(record._fields)
+    assert cli._values(record) == results
+
+
+def test_scan_returns_rows_whose_fields_are_the_report_columns():
+    rows = tautring.scan_injectivity(tautring.ModelParams(2, 8, 3), 2)
+    assert rows and all(type(row) is tautring.ScanRow for row in rows)
+    assert tautring.ScanRow._fields == cli.COMMANDS["scan"].columns
+
+
+def test_no_exported_record_echoes_its_params():
+    records = [value for value in map(vars(tautring).get, tautring.__all__)
+               if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")]
+    assert tautring.ScanRow in records and tautring.GramReport in records
+    assert [record.__name__ for record in records if "params" in record._fields] == []
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Each command is its own process, so what `import tautring.cli` loads is
     # paid on every run; dataclasses alone pulls in inspect, ast, dis and tokenize.

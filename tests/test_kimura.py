@@ -19,7 +19,7 @@ from tautring import (
     verify_kimura_vanishing,
 )
 from tautring.algebra import _matchings
-from tautring.kimura import _matching_eigenvalue, _matching_gram_rank
+from tautring.kimura import _matching_eigenvalue, _matching_gram_rank, _partitions
 import oracles
 
 P2 = ModelParams(2, 8, 2)
@@ -54,15 +54,15 @@ def _cycles_of(perm):
 
 def test_kimura_element_b2():
     element = kimura_element(P2)
-    assert element.cls == parse_class("t(1,3)*t(2,4) - t(1,4)*t(2,3)", P2)
+    assert element == parse_class("t(1,3)*t(2,4) - t(1,4)*t(2,3)", P2)
 
 
 def test_kimura_element_b3_shape():
     element = kimura_element(P3)
-    assert len(element.cls.terms) == 6
-    assert all(abs(c) == 1 for c in element.cls.terms.values())
-    assert class_codim(element.cls, P3) == P3.b * P3.n
-    for mono in element.cls.terms:
+    assert len(element.terms) == 6
+    assert all(abs(c) == 1 for c in element.terms.values())
+    assert class_codim(element, P3) == P3.b * P3.n
+    for mono in element.terms:
         assert len(mono.pairs) == P3.b
         assert all(i <= P3.b < j for i, j in mono.pairs)
 
@@ -131,7 +131,7 @@ def test_kimura_pairing_matches_falling_factorial_for_all_matchings():
     for b in (1, 2, 3, 4):
         for delta in (None, Fraction(7, 3)):
             params = _params(2, b, delta)
-            element = kimura_element(params).cls
+            element = kimura_element(params)
             base = falling_factorial_pairing(b, params.delta)
             crossings = 0
             for pairs in _matchings(tuple(range(1, 2 * b + 1)), b):  # perfect matchings
@@ -148,13 +148,13 @@ def test_kimura_pairing_matches_falling_factorial_for_all_matchings():
 
 def test_kimura_element_is_alternating_under_relabeling():
     element = kimura_element(P3)
-    swapped = pullback(element.cls, 6, (2, 1, 3, 4, 5, 6))
-    assert swapped == -element.cls
+    swapped = pullback(element, 6, (2, 1, 3, 4, 5, 6))
+    assert swapped == -element
 
 
 def test_vanishing_at_loop_value_and_not_above():
     report = verify_kimura_vanishing(P2)
-    assert report.vanishing and report.crosscheck_ok and report.passed
+    assert report.vanishing and report.crosscheck_ok
     shifted = verify_kimura_vanishing(ModelParams(2, 8, 2, delta=Fraction(2)))
     assert not shifted.vanishing
     assert shifted.crosscheck_ok
@@ -183,14 +183,14 @@ def test_one_pairing_decides_as_the_radical_test(b, n):
 
 
 def test_scan_injectivity_thresholds():
-    table = scan_injectivity(P2, 4)
-    below = [row for row in table.rows if row.m <= 2 * P2.b - 1]
+    rows = scan_injectivity(P2, 4)
+    below = [row for row in rows if row.m <= 2 * P2.b - 1]
     assert all(row.deficiency == 0 for row in below)
-    nonzero = [row for row in table.rows if row.deficiency]
+    nonzero = [row for row in rows if row.deficiency]
     assert nonzero
     first = nonzero[0]
     assert (first.m, first.codim) == (4, 4)
-    for row in table.rows:
+    for row in rows:
         assert row.rank + row.deficiency == row.basis_size
 
 
@@ -199,8 +199,8 @@ def test_scan_emits_partial_table_on_resource_limit():
         scan_injectivity(P2, 4, cap_gram=10)
     partial = err.value.partial
     assert partial is not None
-    assert partial.rows
-    assert all(row.deficiency == 0 for row in partial.rows)
+    assert partial
+    assert all(row.deficiency == 0 for row in partial)
 
 
 def test_scan_validates_m_max():
@@ -236,6 +236,24 @@ def test_closed_form_matching_rank_matches_elimination(delta):
     params = ModelParams(2, 8, 3, delta=delta)
     for k in range(5):
         assert _matching_gram_rank(params, k) == oracles._matching_gram_rank(params, k)
+
+
+@pytest.mark.parametrize(
+    "delta", (0, 1, 2, 3, 5, -1, -3, Fraction(1, 2), Fraction(2, 3)), ids=str
+)
+def test_matching_rank_sums_as_over_every_shape(delta):
+    params = ModelParams(2, 8, 3, delta=delta)
+    for k in range(13):
+        assert _matching_gram_rank(params, k) == oracles.matching_gram_rank_by_all_shapes(params, k)
+
+
+def test_partitions_into_at_most_so_many_parts():
+    for k in range(13):
+        every = list(_partitions(k, k, k))
+        assert len(set(every)) == len(every)
+        assert all(sum(shape) == k and list(shape) == sorted(shape, reverse=True) for shape in every)
+        for parts in range(k + 2):
+            assert list(_partitions(k, k, parts)) == [s for s in every if len(s) <= parts]
 
 
 def test_column_shape_eigenvalue_is_the_falling_factorial():

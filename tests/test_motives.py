@@ -309,17 +309,22 @@ def test_solve_gamma3_matches_linear_solve(params):
     assert solution.residual == oracle.residual
 
 
-def test_solve_gamma3_raises_when_no_polynomial_cancels(monkeypatch):
+def test_solve_gamma3_leaves_the_stray_term_when_no_polynomial_cancels(monkeypatch):
     # a stray t(1,2)*o3 in the small diagonal is left over by every
-    # h-polynomial, and the linear solve finds no solution either
+    # h-polynomial: the library returns it as the residual, beside the
+    # coefficients it reads off as before, and the linear solve finds no
+    # solution
     import tautring.motives as motives
 
+    clean = solve_gamma3(P)
     stray = TautClass.from_monomial(TautMonomial(3, ((1, 2),), opoints=(3,)))
     for module in (motives, oracles):
         monkeypatch.setattr(module, "small_diagonal", lambda params: small_diagonal(params) + stray)
-    for solve in (solve_gamma3, oracles.solve_gamma3):
-        with pytest.raises(ArithmeticError):
-            solve(P)
+    solution = solve_gamma3(P)
+    assert solution.residual == stray
+    assert solution.coefficients == clean.coefficients
+    with pytest.raises(ArithmeticError):
+        oracles.solve_gamma3(P)
 
 
 def test_euler_char_values():
