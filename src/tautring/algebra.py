@@ -54,11 +54,11 @@ class ModelParams(_Validated, namedtuple("ModelParams", "n d b delta")):
     __slots__ = ()
 
     def __new__(cls, n: int, d: int, b: int, delta: Fraction | int | str | None = None):
-        if not isinstance(n, int) or n < 2 or n % 2:
+        if n.__class__ is not int or n < 2 or n % 2:
             raise ValueError("n must be an even integer >= 2")
-        if not isinstance(d, int) or d < 1:
+        if d.__class__ is not int or d < 1:
             raise ValueError("d must be an integer >= 1")
-        if not isinstance(b, int) or b < 1:
+        if b.__class__ is not int or b < 1:
             raise ValueError("b must be an integer >= 1")
         delta = Fraction(b - 1) if delta is None else _exact(delta)
         return tuple.__new__(cls, (n, d, b, delta))
@@ -83,11 +83,14 @@ class TautMonomial(_Validated, namedtuple("TautMonomial", "m pairs hpows opoints
         hpows: tuple[tuple[int, int], ...] = (),
         opoints: tuple[int, ...] = (),
     ):
-        if m < 0:
-            raise ValueError("factor count must be >= 0")
-        pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        hpows = tuple(sorted(tuple(h) for h in hpows))
-        opoints = tuple(sorted(opoints))
+        if m.__class__ is not int or m < 0:
+            raise ValueError(f"factor count {m!r} must be an integer >= 0")
+        try:
+            pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
+            hpows = tuple(sorted(tuple(h) for h in hpows))
+            opoints = tuple(sorted(opoints))
+        except TypeError:  # a str beside an int does not sort
+            raise ValueError("pairs, hpows and opoints must hold integers") from None
         used: set[int] = set()
         for i, j in pairs:
             if i == j:
@@ -95,8 +98,8 @@ class TautMonomial(_Validated, namedtuple("TautMonomial", "m pairs hpows opoints
             _claim(i, m, used)
             _claim(j, m, used)
         for f, e in hpows:
-            if e < 1:
-                raise ValueError(f"h exponent {e} must be >= 1")
+            if e.__class__ is not int or e < 1:
+                raise ValueError(f"h exponent {e!r} must be an integer >= 1")
             _claim(f, m, used)
         for f in opoints:
             _claim(f, m, used)
@@ -117,6 +120,8 @@ class TautMonomial(_Validated, namedtuple("TautMonomial", "m pairs hpows opoints
 
 
 def _claim(factor: int, m: int, used: set[int]) -> None:
+    if factor.__class__ is not int:
+        raise ValueError(f"factor index {factor!r} is not an integer")
     if not 1 <= factor <= m:
         raise ValueError(f"factor index {factor} out of range 1..{m}")
     if factor in used:
@@ -435,6 +440,14 @@ def _local_count(factors: int, total: int, n: int) -> int:
     )
 
 
+def _block_counts(n: int, m: int, codim: int) -> Iterator[tuple[int, int]]:
+    """(k, C(m, 2k) * A(m - 2k, codim - nk)) for each tau pair count k: the
+    ways to choose the 2k matched factors and the local degrees on the
+    other m - 2k factors, summing to codim - nk."""
+    for k in range(min(m // 2, codim // n) + 1):
+        yield k, comb(m, 2 * k) * _local_count(m - 2 * k, codim - n * k, n)
+
+
 def basis_count(params: ModelParams, m: int, codim: int) -> int:
     """len(enumerate_basis(params, m, codim)) without building the basis.
 
@@ -446,8 +459,4 @@ def basis_count(params: ModelParams, m: int, codim: int) -> int:
         raise ValueError("factor count must be >= 1")
     if codim < 0:
         raise ValueError("codimension must be >= 0")
-    n = params.n
-    return sum(
-        comb(m, 2 * k) * prod(range(1, 2 * k, 2)) * _local_count(m - 2 * k, codim - n * k, n)
-        for k in range(min(m // 2, codim // n) + 1)
-    )
+    return sum(blocks * prod(range(1, 2 * k, 2)) for k, blocks in _block_counts(params.n, m, codim))

@@ -15,9 +15,9 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
-from .algebra import ModelParams, TautClass, TautMonomial, _local_count, basis_count
+from .algebra import ModelParams, TautClass, TautMonomial, _block_counts, basis_count
 from .calculus import pair
 from .linalg import _exact
 
@@ -201,15 +201,15 @@ def scan_injectivity(
     rows: list[ScanRow] = []
     for m in range(1, m_max + 1):
         for codim in range(m * n + 1):
-            size = basis_count(params, m, codim)
+            counts = list(_block_counts(n, m, codim))
+            size = sum(blocks * prod(range(1, 2 * k, 2)) for k, blocks in counts)
             if size > cap_gram:
                 raise ResourceLimitError(
                     f"Gram dimension {size} at m={m}, codim={codim} exceeds the cap {cap_gram}",
                     partial=tuple(rows),
                 )
             total = 0
-            for k in range(min(m // 2, codim // n) + 1):
-                blocks = comb(m, 2 * k) * _local_count(m - 2 * k, codim - n * k, n)
+            for k, blocks in counts:
                 if blocks:
                     if k not in ranks:
                         ranks[k] = _matching_gram_rank(params, k)

@@ -1,12 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
 Scalars are `fractions.Fraction`; nothing in this module ever rounds.
-The elimination core is fraction-free (Bareiss): rows are cleared to
-integers and updated with the two-term minor formula, so intermediate
-entries stay the size of minors of the input instead of accumulating
-unreduced numerators.  Pivoting always takes the first nonzero entry in
-column order, which makes ranks, kernels and solutions reproducible bit
-for bit.
+The elimination core is one fraction-free Gauss-Jordan pass (Bareiss,
+Math. Comp. 22, 1968): rows are cleared to integers and updated with the
+two-term minor formula above and below each pivot, so every entry stays
+a minor of the input instead of accumulating unreduced numerators, and
+the kernel is read off the integer rows.  Pivoting always takes the
+first nonzero entry in column order, which makes ranks, kernels and
+solutions reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -83,60 +84,32 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def _bareiss(rows: list[list[int]], width: int) -> list[int]:
-    """In-place fraction-free forward elimination.
+    """In-place fraction-free Gauss-Jordan elimination, in one pass.
 
-    Pivots are the first nonzero entry in column order.  Returns the pivot
-    columns; on exit the first len(piv_cols) rows are an integer echelon
-    form and all later rows are zero.
+    Pivots are the first nonzero entry in column order.  Each pivot row
+    clears its column in every other row, above as well as below, and
+    every update divides exactly by the previous pivot, so each entry
+    stays a minor of the input.  Returns the pivot columns.  On exit every
+    row i < len(piv_cols) holds the last pivot at column piv_cols[i] and
+    zeros at the other pivot columns, and all later rows are zero.
     """
     piv_cols: list[int] = []
-    nrows = len(rows)
-    r = 0
     prev = 1
     for c in range(width):
-        p = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                p = i
-                break
+        r = len(piv_cols)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
+        rows[r], rows[p] = rows[p], rows[r]
         row_r = rows[r]
-        for i in range(r + 1, nrows):
-            row_i = rows[i]
-            f = row_i[c]
-            if f:
-                for j in range(c + 1, width):
-                    row_i[j] = _exact_div(piv * row_i[j] - f * row_r[j], prev)
-                row_i[c] = 0
-            else:
-                for j in range(c + 1, width):
-                    if row_i[j]:
-                        row_i[j] = _exact_div(piv * row_i[j], prev)
+        piv = row_r[c]
+        for i, row_i in enumerate(rows):
+            if i != r:
+                f = row_i[c]
+                rows[i] = [_exact_div(piv * a - f * b, prev) for a, b in zip(row_i, row_r)]
         piv_cols.append(c)
         prev = piv
-        r += 1
-        if r == nrows:
-            break
     return piv_cols
-
-
-def _rref(rows: list[list[int]], piv_cols: list[int]) -> list[list[Fraction]]:
-    """Reduced echelon form (pivot entries 1, zeros above) of the pivot rows."""
-    rank = len(piv_cols)
-    reduced = [[Fraction(v) for v in rows[i]] for i in range(rank)]
-    for i in range(rank - 1, -1, -1):
-        c = piv_cols[i]
-        inv = reduced[i][c]
-        reduced[i] = [v / inv for v in reduced[i]]
-        for k in range(i):
-            f = reduced[k][c]
-            if f:
-                reduced[k] = [a - f * b for a, b in zip(reduced[k], reduced[i])]
-    return reduced
 
 
 def rank_kernel(matrix: RationalMatrix) -> tuple[int, list[Vector]]:
@@ -148,7 +121,6 @@ def rank_kernel(matrix: RationalMatrix) -> tuple[int, list[Vector]]:
     """
     rows = _integer_rows(matrix.entries)
     piv_cols = _bareiss(rows, matrix.cols)
-    reduced = _rref(rows, piv_cols)
     piv_set = set(piv_cols)
     kernel: list[Vector] = []
     for free in range(matrix.cols):
@@ -157,7 +129,7 @@ def rank_kernel(matrix: RationalMatrix) -> tuple[int, list[Vector]]:
         vec = [Fraction(0)] * matrix.cols
         vec[free] = Fraction(1)
         for i, c in enumerate(piv_cols):
-            vec[c] = -reduced[i][free]
+            vec[c] = Fraction(-rows[i][free], rows[i][c])
         kernel.append(tuple(vec))
     return len(piv_cols), kernel
 

@@ -18,7 +18,10 @@ full, where the library joins their monomials.  `verify_kimura_vanishing` runs t
 test on the alternating element and pairs it with every crossing
 matching, where the library pairs it with one.  `basis_by_all_matchings`
 walks every partial matching and every local degree, where the library
-enumerates only those that can reach the codimension.  The differential
+enumerates only those that can reach the codimension.
+`two_phase_rank_kernel` eliminates forward over the integers and then
+back-substitutes over Fractions, where the library makes one
+fraction-free Gauss-Jordan pass.  The differential
 tests require each pair to agree exactly.  `argparse_parser` reads argv
 with argparse, where the CLI reads it from its option table; the parser
 tests name the argv on which the two may differ.
@@ -71,7 +74,7 @@ from tautring.kimura import (
     _partitions,
     _sign,
 )
-from tautring.linalg import _bareiss, _integer_rows
+from tautring.linalg import _exact_div, _integer_rows
 from tautring.motives import diagonal_class, small_diagonal
 
 
@@ -205,9 +208,85 @@ def argparse_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _forward_bareiss(rows: list[list[int]], width: int) -> list[int]:
+    """In-place fraction-free forward elimination.
+
+    Pivots are the first nonzero entry in column order.  Returns the pivot
+    columns; on exit the first len(piv_cols) rows are an integer echelon
+    form and all later rows are zero.
+    """
+    piv_cols: list[int] = []
+    nrows = len(rows)
+    r = 0
+    prev = 1
+    for c in range(width):
+        p = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                p = i
+                break
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        row_r = rows[r]
+        for i in range(r + 1, nrows):
+            row_i = rows[i]
+            f = row_i[c]
+            if f:
+                for j in range(c + 1, width):
+                    row_i[j] = _exact_div(piv * row_i[j] - f * row_r[j], prev)
+                row_i[c] = 0
+            else:
+                for j in range(c + 1, width):
+                    if row_i[j]:
+                        row_i[j] = _exact_div(piv * row_i[j], prev)
+        piv_cols.append(c)
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return piv_cols
+
+
+def _rref(rows: list[list[int]], piv_cols: list[int]) -> list[list[Fraction]]:
+    """Reduced echelon form (pivot entries 1, zeros above) of the pivot rows."""
+    rank = len(piv_cols)
+    reduced = [[Fraction(v) for v in rows[i]] for i in range(rank)]
+    for i in range(rank - 1, -1, -1):
+        c = piv_cols[i]
+        inv = reduced[i][c]
+        reduced[i] = [v / inv for v in reduced[i]]
+        for k in range(i):
+            f = reduced[k][c]
+            if f:
+                reduced[k] = [a - f * b for a, b in zip(reduced[k], reduced[i])]
+    return reduced
+
+
+def two_phase_rank_kernel(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """rank_kernel in two passes: forward fraction-free elimination to an
+    integer echelon form, then back-substitution over Fractions to the
+    reduced echelon form, whose columns give the canonical kernel."""
+    rows = _integer_rows(matrix.entries)
+    piv_cols = _forward_bareiss(rows, matrix.cols)
+    reduced = _rref(rows, piv_cols)
+    kernel = []
+    for free in range(matrix.cols):
+        if free in piv_cols:
+            continue
+        vec = [Fraction(0)] * matrix.cols
+        vec[free] = Fraction(1)
+        for i, c in enumerate(piv_cols):
+            vec[c] = -reduced[i][free]
+        kernel.append(tuple(vec))
+    return len(piv_cols), kernel
+
+
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank of a rational matrix: the forward elimination alone."""
-    return len(_bareiss(_integer_rows(matrix.entries), matrix.cols))
+    return len(_forward_bareiss(_integer_rows(matrix.entries), matrix.cols))
 
 
 def mat_vec(matrix: RationalMatrix, vec) -> tuple[Fraction, ...]:

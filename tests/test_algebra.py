@@ -86,6 +86,34 @@ def test_monomial_validation():
         TautMonomial(2, hpows=((1, 0),))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TautMonomial(2, pairs=((1, 1.5),)),
+    lambda: TautMonomial(2, pairs=((True, 2),)),
+    lambda: TautMonomial(2, hpows=((1, 1.5),)),
+    lambda: TautMonomial(2, hpows=((1, True),)),
+    lambda: TautMonomial(2, hpows=((1.0, 1),)),
+    lambda: TautMonomial(2, opoints=(True,)),
+    lambda: TautMonomial(2, opoints=(2.0,)),
+    lambda: TautMonomial(2.0),
+    lambda: TautMonomial(True),
+    lambda: TautMonomial(2)._replace(opoints=(Fraction(1),)),
+    lambda: TautMonomial(2, opoints=(1, "2")),
+    lambda: TautMonomial(2, pairs=((1, "2"),)),
+], ids=["pair-float", "pair-bool", "exponent-float", "exponent-bool", "h-factor-float",
+        "o-bool", "o-float", "m-float", "m-bool", "replace-fraction", "o-str", "pair-str"])
+def test_monomial_refuses_non_integers(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+@pytest.mark.parametrize("args", [
+    (True, 8, 3), (2.0, 8, 3), (2, True, 3), (2, 8.0, 3), (2, 8, True), (2, 8, 3.0),
+], ids=["n-bool", "n-float", "d-bool", "d-float", "b-bool", "b-float"])
+def test_params_refuse_non_integers(args):
+    with pytest.raises(ValueError, match="integer"):
+        ModelParams(*args)
+
+
 def test_codim_examples():
     assert monomial_codim(TautMonomial(3), P48_3) == 0
     assert monomial_codim(TautMonomial(2, pairs=((1, 2),)), P48_3) == 4

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from tautring import RationalMatrix, rank_kernel, solve_linear
-from oracles import mat_vec, rank
+from oracles import mat_vec, rank, two_phase_rank_kernel
 
 
 def test_identity_has_full_rank_and_empty_kernel():
@@ -154,6 +154,30 @@ def matrices_with_zero_lines(draw):
 @settings(max_examples=150)
 def test_rank_matches_rank_kernel(matrix):
     assert rank(matrix) == rank_kernel(matrix)[0]
+
+
+@given(matrices_with_zero_lines())
+@settings(max_examples=150)
+def test_rank_kernel_matches_the_two_phase_oracle(matrix):
+    assert rank_kernel(matrix) == two_phase_rank_kernel(matrix)
+
+
+def test_kernel_matches_sympy_nullspace():
+    # sympy's nullspace is the same canonical basis: one vector per free
+    # column in ascending order, 1 at that column and 0 at the other free ones
+    sympy = pytest.importorskip("sympy")
+
+    @given(matrices_with_zero_lines())
+    @settings(max_examples=100, deadline=None)
+    def check(matrix):
+        values = [sympy.Rational(x.numerator, x.denominator) for row in matrix.entries for x in row]
+        expected = [
+            tuple(Fraction(int(v.p), int(v.q)) for v in vec)
+            for vec in sympy.Matrix(matrix.rows, matrix.cols, values).nullspace()
+        ]
+        assert rank_kernel(matrix)[1] == expected
+
+    check()
 
 
 def test_rank_matches_sympy():
