@@ -46,16 +46,7 @@ def pullback(x: TautClass, m_target: int, embedding: Sequence[int]) -> TautClass
         if not 1 <= f <= m_target:
             raise ValueError(f"embedding target {f} out of range 1..{m_target}")
     relabel = {i + 1: f for i, f in enumerate(embedding)}
-    acc: dict[TautMonomial, Fraction] = {}
-    for mono, coeff in x.terms.items():
-        moved = TautMonomial(
-            m_target,
-            tuple((relabel[i], relabel[j]) for i, j in mono.pairs),
-            tuple((relabel[f], e) for f, e in mono.hpows),
-            tuple(relabel[f] for f in mono.opoints),
-        )
-        acc[moved] = coeff
-    return TautClass(m_target, acc)
+    return TautClass(m_target, {_moved(mono, relabel, m_target): c for mono, c in x._terms.items()})
 
 
 def pushforward(x: TautClass, kept: Iterable[int], params: ModelParams) -> TautClass:
@@ -69,24 +60,25 @@ def pushforward(x: TautClass, kept: Iterable[int], params: ModelParams) -> TautC
     return push_products(x, (unit_class(x.m),), kept, params)[0]
 
 
-def _split(m: int, kept: Iterable[int]) -> tuple[dict[int, int], set[int]]:
+def _split(m: int, kept: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     """The kept factors, each mapped to its place in order, and the dropped
-    ones; kept factors are checked against m."""
+    ones in order; kept factors are checked against m."""
     kept_sorted = sorted(set(kept))
     for f in kept_sorted:
         if not 1 <= f <= m:
             raise ValueError(f"kept factor {f} out of range 1..{m}")
     relabel = {f: i + 1 for i, f in enumerate(kept_sorted)}
-    return relabel, set(range(1, m + 1)) - set(relabel)
+    return relabel, [f for f in range(1, m + 1) if f not in relabel]
 
 
-def _moved(mono: TautMonomial, relabel: dict[int, int], dropped: set[int]) -> TautMonomial:
-    """A monomial with o on every dropped factor, pushed onto the kept ones."""
+def _moved(mono: TautMonomial, relabel: dict[int, int], m: int) -> TautMonomial:
+    """A monomial relabelled onto m factors.  Every unlabelled factor must
+    carry o, which is integrated out (to 1)."""
     return TautMonomial(
-        len(relabel),
+        m,
         tuple((relabel[i], relabel[j]) for i, j in mono.pairs),
         tuple((relabel[f], e) for f, e in mono.hpows),
-        tuple(relabel[f] for f in mono.opoints if f not in dropped),
+        tuple(relabel[f] for f in mono.opoints if f in relabel),
     )
 
 
@@ -121,9 +113,8 @@ def push_products(
     x's terms are grouped once by `_dropped_key`, and each y term is
     multiplied only with the group under its complemented key.
     """
-    relabel, dropped_set = _split(x.m, kept)
-    dropped = sorted(dropped_set)
-    n = params.n
+    relabel, dropped = _split(x.m, kept)
+    n, m_kept = params.n, len(relabel)
     groups: dict[tuple, list[tuple[TautMonomial, Fraction]]] = {}
     for mono, coeff in x._terms.items():
         groups.setdefault(_dropped_key(mono, dropped, n), []).append((mono, coeff))
@@ -138,11 +129,11 @@ def push_products(
                 if result is None:
                     continue
                 coeff, mono = result
-                moved = _moved(mono, relabel, dropped_set)
+                moved = _moved(mono, relabel, m_kept)
                 coeff *= ca * cb
                 prev = acc.get(moved)
                 acc[moved] = coeff if prev is None else prev + coeff
-        out.append(TautClass(len(relabel), acc))
+        out.append(TautClass(m_kept, acc))
     return out
 
 

@@ -36,6 +36,8 @@ class Correspondence(_Validated, namedtuple("Correspondence", "cls s t")):
     __slots__ = ()
 
     def __new__(_cls, cls: TautClass, s: int, t: int):
+        if s.__class__ is not int or t.__class__ is not int:
+            raise ValueError(f"block sizes {s!r}, {t!r} must be integers")
         if s < 0 or t < 0 or s + t < 1:
             raise ValueError("source and target blocks must cover at least one factor")
         if cls.m != s + t:
@@ -61,7 +63,7 @@ class ProjectorSet:
 
     def __init__(self, params: ModelParams, projectors: Mapping[int, Correspondence]):
         for k, corr in projectors.items():
-            if k % 2 or not 0 <= k <= 2 * params.n:
+            if k.__class__ is not int or k % 2 or not 0 <= k <= 2 * params.n:
                 raise ValueError(f"projector index {k} must be even in [0, 2n]")
             if corr.s != 1 or corr.t != 1:
                 raise ValueError("projectors must map one factor to one factor")
@@ -83,14 +85,16 @@ class Gamma3Solution(namedtuple("Gamma3Solution", "coefficients residual")):
     __slots__ = ()
 
 
+def _kunneth(params: ModelParams, i: int, j: int) -> TautClass:
+    """(1/d) h1^i h2^j on the square; _kunneth(n, 0) is o1, since h^n = d o."""
+    h1, h2 = h_class(params, 2, 1, i), h_class(params, 2, 2, j)
+    return multiply(h1, h2, params).scale(Fraction(1, params.d))
+
+
 def diagonal_class(params: ModelParams) -> TautClass:
     """The diagonal on the square: tau plus the full Kuenneth h-sum."""
-    n, d = params.n, params.d
-    total = tau_class(2, 1, 2) + o_class(2, 1) + o_class(2, 2)
-    for j in range(1, n):
-        term = multiply(h_class(params, 2, 1, j), h_class(params, 2, 2, n - j), params)
-        total = total + term.scale(Fraction(1, d))
-    return total
+    n = params.n
+    return sum((_kunneth(params, n - j, j) for j in range(n + 1)), tau_class(2, 1, 2))
 
 
 def diagonal(params: ModelParams) -> Correspondence:
@@ -139,19 +143,11 @@ def tensor(f: Correspondence, g: Correspondence, params: ModelParams) -> Corresp
 
 def ck_projectors(params: ModelParams) -> ProjectorSet:
     """The projector family: (1/d) h^(n-j) x h^j off the middle degree,
-    and the diagonal minus all of those in the middle."""
-    n, d = params.n, params.d
-    projectors: dict[int, Correspondence] = {}
-    middle_rest = diagonal_class(params)
-    for j in range(n + 1):
-        if j == n // 2:
-            continue
-        cls = multiply(h_class(params, 2, 1, n - j), h_class(params, 2, 2, j), params)
-        cls = cls.scale(Fraction(1, d))
-        projectors[2 * j] = Correspondence(cls, 1, 1)
-        middle_rest = middle_rest - cls
-    projectors[n] = Correspondence(middle_rest, 1, 1)
-    return ProjectorSet(params=params, projectors=projectors)
+    and tau + (1/d) h^(n/2) x h^(n/2) in the middle."""
+    n = params.n
+    classes = {2 * j: _kunneth(params, n - j, j) for j in range(n + 1)}
+    classes[n] = tau_class(2, 1, 2) + classes[n]
+    return ProjectorSet(params, {k: Correspondence(cls, 1, 1) for k, cls in classes.items()})
 
 
 def verify_ck(ps: ProjectorSet) -> CkReport:
@@ -234,13 +230,13 @@ def verify_mck(params: ModelParams) -> MckReport:
 
 
 def act(f: Correspondence, x: TautClass, params: ModelParams) -> TautClass:
-    """Apply a one-to-one correspondence to a class on a single factor."""
+    """Apply a one-to-one correspondence to a class on a single factor:
+    f composed with x, read as a correspondence from no factor to one."""
     if f.s != 1 or f.t != 1:
         raise ValueError("act requires a correspondence with one source and one target factor")
     if x.m != 1:
         raise ValueError("act requires a class on a single factor")
-    (image,) = push_products(f.cls, (pullback(x, 2, (1,)),), (2,), params)
-    return image
+    return compose(f, Correspondence(x, 0, 1), params).cls
 
 
 def expand_diagonal_times_h(params: ModelParams, factor: int) -> TautClass:
@@ -252,12 +248,9 @@ def expand_diagonal_times_h(params: ModelParams, factor: int) -> TautClass:
     """
     if factor not in (1, 2):
         raise ValueError("factor must be 1 or 2")
-    n, d = params.n, params.d
+    n = params.n
     product = multiply(diagonal_class(params), h_class(params, 2, factor, 1), params)
-    expected = TautClass.zero(2)
-    for k in range(n + 2):
-        term = multiply(h_class(params, 2, 1, k), h_class(params, 2, 2, n + 1 - k), params)
-        expected = expected + term.scale(Fraction(1, d))
+    expected = sum((_kunneth(params, k, n + 1 - k) for k in range(n + 2)), TautClass.zero(2))
     if product != expected:
         raise ArithmeticError("diagonal-times-h expansion does not match its closed form")
     return product

@@ -19,6 +19,10 @@ test on the alternating element and pairs it with every crossing
 matching, where the library pairs it with one.  `basis_by_all_matchings`
 walks every partial matching and every local degree, where the library
 enumerates only those that can reach the codimension.
+`diagonal_from_points` writes the diagonal as o1 + o2 plus the inner
+h-sum, and `projectors_by_subtraction` takes the middle projector as the
+diagonal minus the others, where the library sums one Kuenneth piece per
+degree and writes the middle one as tau plus its own piece.
 `two_phase_rank_kernel` eliminates forward over the integers and then
 back-substitutes over Fractions, where the library makes one
 fraction-free Gauss-Jordan pass.  The differential
@@ -63,6 +67,7 @@ from tautring import (
     pullback,
     rank_kernel,
     solve_linear,
+    tau_class,
 )
 from tautring.algebra import _matchings
 from tautring.calculus import _mono_pairing
@@ -359,6 +364,32 @@ def pushforward(x: TautClass, kept, params: ModelParams) -> TautClass:
         )
         acc[moved] = acc.get(moved, Fraction(0)) + coeff
     return TautClass(len(kept), acc)
+
+
+def diagonal_from_points(params: ModelParams) -> TautClass:
+    """The diagonal as tau + o1 + o2 plus (1/d) h^j x h^(n-j) for j = 1..n-1."""
+    n, d = params.n, params.d
+    total = tau_class(2, 1, 2) + o_class(2, 1) + o_class(2, 2)
+    for j in range(1, n):
+        term = multiply(h_class(params, 2, 1, j), h_class(params, 2, 2, n - j), params)
+        total = total + term.scale(Fraction(1, d))
+    return total
+
+
+def projectors_by_subtraction(params: ModelParams) -> dict[int, TautClass]:
+    """pi^(2j) = (1/d) h^(n-j) x h^j for 2j != n, and pi^n the diagonal
+    minus all of those."""
+    n, d = params.n, params.d
+    projectors = {}
+    middle = diagonal_from_points(params)
+    for j in range(n + 1):
+        if 2 * j == n:
+            continue
+        cls = multiply(h_class(params, 2, 1, n - j), h_class(params, 2, 2, j), params)
+        projectors[2 * j] = cls.scale(Fraction(1, d))
+        middle = middle - projectors[2 * j]
+    projectors[n] = middle
+    return projectors
 
 
 def small_diagonal_correspondence(params: ModelParams) -> Correspondence:

@@ -91,6 +91,44 @@ def test_correspondence_make_and_replace_validate():
         _corr(tau_class(2, 1, 2))._replace(s=2)
 
 
+@pytest.mark.parametrize(
+    "cls, s, t",
+    [
+        (tau_class(2, 1, 2), 1.0, 1.0),
+        (tau_class(3, 1, 2), 1.5, 1.5),
+        (tau_class(2, 1, 2), True, True),
+        (tau_class(2, 1, 2), 1, True),
+        (tau_class(2, 1, 2), Fraction(1), 1),
+    ],
+)
+def test_correspondence_refuses_block_sizes_that_are_not_ints(cls, s, t):
+    with pytest.raises(ValueError, match="must be integers"):
+        Correspondence(cls, s, t)
+    with pytest.raises(ValueError, match="must be integers"):
+        Correspondence._make((cls, s, t))
+
+
+@pytest.mark.parametrize("k", [2.0, False, Fraction(2)])
+def test_projector_set_refuses_an_index_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="projector index"):
+        ProjectorSet(P, {k: diagonal(P)})
+
+
+DIAGONAL_PROFILES = [ModelParams(n, 8, 22) for n in (2, 4, 6, 12, 30)] + [DP] + [
+    ModelParams(4, 8, 5, delta) for delta in (4, Fraction(1, 2), 0)
+]
+
+
+@pytest.mark.parametrize("params", DIAGONAL_PROFILES, ids=repr)
+def test_diagonal_and_projectors_match_the_subtraction_oracle(params):
+    assert diagonal_class(params) == oracles.diagonal_from_points(params)
+    expected = oracles.projectors_by_subtraction(params)
+    ps = ck_projectors(params)
+    assert ps.indices() == sorted(expected)
+    for k, cls in expected.items():
+        assert ps[k].cls == cls
+
+
 def test_projector_idempotence_and_orthogonality_examples():
     ps = ck_projectors(P)
     p0, p2n = ps[0], ps[2 * P.n]
