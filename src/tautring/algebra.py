@@ -148,8 +148,12 @@ class TautClass:
     __slots__ = ("m", "_terms")
 
     def __init__(self, m: int, terms: Mapping[TautMonomial, Fraction | int] | None = None):
+        if m.__class__ is not int or m < 0:
+            raise ValueError(f"factor count {m!r} must be an integer >= 0")
         clean: dict[TautMonomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
+            if mono.__class__ is not TautMonomial:
+                raise ValueError(f"term {mono!r} is not a TautMonomial")
             if mono.m != m:
                 raise ValueError(f"monomial on {mono.m} factors in a class on {m}")
             if coeff.__class__ is not Fraction:

@@ -63,11 +63,11 @@ def pushforward(x: TautClass, kept: Iterable[int], params: ModelParams) -> TautC
 def _split(m: int, kept: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     """The kept factors, each mapped to its place in order, and the dropped
     ones in order; kept factors are checked against m."""
-    kept_sorted = sorted(set(kept))
-    for f in kept_sorted:
-        if not 1 <= f <= m:
-            raise ValueError(f"kept factor {f} out of range 1..{m}")
-    relabel = {f: i + 1 for i, f in enumerate(kept_sorted)}
+    kept = list(kept)
+    for f in kept:
+        if f.__class__ is not int or not 1 <= f <= m:  # 1.5 would pass the range check
+            raise ValueError(f"kept factor {f!r} out of range 1..{m}")
+    relabel = {f: i + 1 for i, f in enumerate(sorted(set(kept)))}
     return relabel, [f for f in range(1, m + 1) if f not in relabel]
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import os
-import re
 import sys
 import time
 from collections import namedtuple
@@ -78,7 +77,6 @@ _OPERANDS = (
 )
 _CAP_GRAM = ("--cap-gram", {"type": int, "default": DEFAULT_GRAM_CAP})
 _HELP = ("-h", "--help")
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")  # the p or p/q of --delta
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | str:
@@ -199,14 +197,10 @@ def _resolve_params(args: SimpleNamespace) -> ModelParams:
         raise UsageError(f"profile {args.profile} requires {needs}")
     if b is None:
         raise UsageError("--b is required (no default Betti number is assumed)")
-    if args.delta is not None and not _RATIONAL.fullmatch(args.delta):
-        # Fraction would also read 1.5 or 1e30000000, the last by building 10**30000000
-        raise UsageError(f"Invalid literal for Fraction: {args.delta!r}")
     try:
-        delta = Fraction(args.delta) if args.delta is not None else None
+        return ModelParams(n, d, b, args.delta)
     except ZeroDivisionError:
         raise UsageError(f"--delta {args.delta} has a zero denominator") from None
-    return ModelParams(n, d, b, delta)
 
 
 def _values(record):

@@ -15,6 +15,7 @@ codimension then by canonical string, coefficients as 'p/q'.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .algebra import (
@@ -37,99 +38,51 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise ParseError(f"expected '{char}'", self.pos)
-        self.pos += 1
-
-    def integer(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+# The grammar as patterns, each matched where the last one ended and each
+# eating the whitespace after it, so that every position read is a token's.
+# A term's head is its sign, coefficient and the '*' that joins atoms to it.
+_HEAD = r"\s*(-?)\s*(?:(\d+)(?:/(\d+))?\s*(\*?))?\s*"
+_ATOM = r"(?:t\((\d+),(\d+)\)|h(\d+)(?:\^(\d+))?|o(\d+)|1)\s*"
+_STAR = r"\*\s*"
 
 
-def _parse_atom(sc: _Scanner) -> tuple:
-    sc.skip_ws()
-    pos = sc.pos
-    ch = sc.peek()
-    if ch == "t":
-        sc.pos += 1
-        sc.expect("(")
-        i = sc.integer()
-        sc.expect(",")
-        j = sc.integer()
-        sc.expect(")")
-        if i == j:
-            raise ParseError("tau must join two distinct factors", pos)
-        return ("t", min(i, j), max(i, j), pos)
-    if ch == "h":
-        sc.pos += 1
-        i = sc.integer()
-        exp = 1
-        if sc.peek() == "^":
-            sc.pos += 1
-            exp = sc.integer()
-            if exp < 1:
-                raise ParseError("h exponent must be >= 1", pos)
-        return ("h", i, exp, pos)
-    if ch == "o":
-        sc.pos += 1
-        i = sc.integer()
-        return ("o", i, 0, pos)
-    if ch == "1":
-        sc.pos += 1
-        return ("1", 0, 0, pos)
-    raise ParseError("expected a generator (t, h, o) or 1", pos)
-
-
-def _parse_term(sc: _Scanner) -> tuple[Fraction, list[tuple]]:
-    sc.skip_ws()
-    sign = Fraction(1)
-    if sc.peek() == "-":
-        sign = Fraction(-1)
-        sc.pos += 1
-        sc.skip_ws()
-    coeff = Fraction(1)
-    atoms: list[tuple] = []
-    if sc.peek().isdigit():
-        pos = sc.pos
-        num = sc.integer()
-        if sc.peek() == "/":
-            sc.pos += 1
-            den = sc.integer()
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            coeff = Fraction(num, den)
-        else:
-            coeff = Fraction(num)
-        sc.skip_ws()
-        if sc.peek() == "*":
-            sc.pos += 1
-        else:
-            return sign * coeff, atoms  # bare scalar: multiple of the unit
+def _terms(text: str) -> list[tuple[Fraction, list[tuple]]]:
+    """Each term's coefficient and its atoms (kind, i, j, position).  The
+    patterns compile on first use, through re's own cache, so that a
+    process that reads no class does not pay for them at import."""
+    terms, pos = [], 0
     while True:
-        atoms.append(_parse_atom(sc))
-        sc.skip_ws()
-        if sc.peek() == "*":
-            sc.pos += 1
-        else:
-            break
-    return sign * coeff, atoms
+        head = re.compile(_HEAD).match(text, pos)
+        sign, num, den, star = head.groups()
+        if den is not None and not int(den):
+            raise ParseError("zero denominator", head.start(2))
+        coeff = Fraction(int(num or 1), int(den or 1))
+        atoms: list[tuple] = []
+        pos, more = head.end(), num is None or star  # a bare scalar is a multiple of the unit
+        while more:
+            atom = re.compile(_ATOM).match(text, pos)
+            if atom is None:
+                raise ParseError("expected a generator (t, h, o) or 1", pos)
+            t_i, t_j, h_i, exp, o_i = atom.groups()
+            if t_i is not None:
+                i, j = int(t_i), int(t_j)
+                if i == j:
+                    raise ParseError("tau must join two distinct factors", pos)
+                atoms.append(("t", min(i, j), max(i, j), pos))
+            elif h_i is not None:
+                if exp is not None and not int(exp):
+                    raise ParseError("h exponent must be >= 1", pos)
+                atoms.append(("h", int(h_i), int(exp or 1), pos))
+            else:
+                atoms.append(("o", int(o_i), 0, pos) if o_i else ("1", 0, 0, pos))
+            more = re.compile(_STAR).match(text, atom.end())
+            pos = (more or atom).end()
+        terms.append((-coeff if sign else coeff, atoms))
+        if pos == len(text):
+            return terms
+        if text[pos] not in "+-":
+            raise ParseError("expected '+', '-' or end of input", pos)
+        pos += text[pos] == "+"  # a '-' is the next term's sign
 
 
 def parse_class(
@@ -146,19 +99,7 @@ def parse_class(
     exponents >= n, repeated factors and locals on tau factors are
     rejected at the parse boundary.
     """
-    sc = _Scanner(text)
-    terms = [_parse_term(sc)]
-    while True:
-        sc.skip_ws()
-        ch = sc.peek()
-        if ch == "":
-            break
-        if ch not in "+-":
-            raise ParseError("expected '+', '-' or end of input", sc.pos)
-        if ch == "+":
-            sc.pos += 1  # a leading '-' is consumed by the term
-        terms.append(_parse_term(sc))
-
+    terms = _terms(text)
     if m is None:  # the largest factor index (of a tau, its second)
         m = max([1] + [j if kind == "t" else i for _, atoms in terms for kind, i, j, _ in atoms])
     for _, atoms in terms:

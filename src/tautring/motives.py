@@ -36,6 +36,8 @@ class Correspondence(_Validated, namedtuple("Correspondence", "cls s t")):
     __slots__ = ()
 
     def __new__(_cls, cls: TautClass, s: int, t: int):
+        if not isinstance(cls, TautClass):
+            raise ValueError(f"{cls!r} is not a TautClass")
         if s.__class__ is not int or t.__class__ is not int:
             raise ValueError(f"block sizes {s!r}, {t!r} must be integers")
         if s < 0 or t < 0 or s + t < 1:
@@ -62,11 +64,13 @@ class ProjectorSet:
     __slots__ = ("params", "projectors")
 
     def __init__(self, params: ModelParams, projectors: Mapping[int, Correspondence]):
+        if not isinstance(projectors, Mapping):
+            raise ValueError("projectors must map indices to correspondences")
         for k, corr in projectors.items():
             if k.__class__ is not int or k % 2 or not 0 <= k <= 2 * params.n:
                 raise ValueError(f"projector index {k} must be even in [0, 2n]")
-            if corr.s != 1 or corr.t != 1:
-                raise ValueError("projectors must map one factor to one factor")
+            if not isinstance(corr, Correspondence) or corr.s != 1 or corr.t != 1:
+                raise ValueError("projectors must be correspondences from one factor to one")
         self.params = params
         self.projectors = projectors
 

@@ -28,7 +28,10 @@ back-substitutes over Fractions, where the library makes one
 fraction-free Gauss-Jordan pass.  The differential
 tests require each pair to agree exactly.  `argparse_parser` reads argv
 with argparse, where the CLI reads it from its option table; the parser
-tests name the argv on which the two may differ.
+tests name the argv on which the two may differ.  `scanner_terms` reads
+class text one character at a time, where the library matches the
+grammar's patterns; the two read the same terms, and a text that one
+refuses the other refuses too.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from tautring import (
     MckCase,
     MckReport,
     ModelParams,
+    ParseError,
     RationalMatrix,
     ResourceLimitError,
     ScanRow,
@@ -475,3 +479,115 @@ def verify_kimura_vanishing(
         crosscheck_ok=crosscheck_ok,
         dual_count=dual_count,
     )
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, char: str) -> None:
+        if self.peek() != char:
+            raise ParseError(f"expected '{char}'", self.pos)
+        self.pos += 1
+
+    def integer(self) -> int:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected an integer", start)
+        return int(self.text[start : self.pos])
+
+
+def _scan_atom(sc: _Scanner) -> tuple:
+    sc.skip_ws()
+    pos = sc.pos
+    ch = sc.peek()
+    if ch == "t":
+        sc.pos += 1
+        sc.expect("(")
+        i = sc.integer()
+        sc.expect(",")
+        j = sc.integer()
+        sc.expect(")")
+        if i == j:
+            raise ParseError("tau must join two distinct factors", pos)
+        return ("t", min(i, j), max(i, j), pos)
+    if ch == "h":
+        sc.pos += 1
+        i = sc.integer()
+        exp = 1
+        if sc.peek() == "^":
+            sc.pos += 1
+            exp = sc.integer()
+            if exp < 1:
+                raise ParseError("h exponent must be >= 1", pos)
+        return ("h", i, exp, pos)
+    if ch == "o":
+        sc.pos += 1
+        i = sc.integer()
+        return ("o", i, 0, pos)
+    if ch == "1":
+        sc.pos += 1
+        return ("1", 0, 0, pos)
+    raise ParseError("expected a generator (t, h, o) or 1", pos)
+
+
+def _scan_term(sc: _Scanner) -> tuple[Fraction, list[tuple]]:
+    sc.skip_ws()
+    sign = Fraction(1)
+    if sc.peek() == "-":
+        sign = Fraction(-1)
+        sc.pos += 1
+        sc.skip_ws()
+    coeff = Fraction(1)
+    atoms: list[tuple] = []
+    if sc.peek().isdigit():
+        pos = sc.pos
+        num = sc.integer()
+        if sc.peek() == "/":
+            sc.pos += 1
+            den = sc.integer()
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            coeff = Fraction(num, den)
+        else:
+            coeff = Fraction(num)
+        sc.skip_ws()
+        if sc.peek() == "*":
+            sc.pos += 1
+        else:
+            return sign * coeff, atoms  # bare scalar: multiple of the unit
+    while True:
+        atoms.append(_scan_atom(sc))
+        sc.skip_ws()
+        if sc.peek() == "*":
+            sc.pos += 1
+        else:
+            break
+    return sign * coeff, atoms
+
+
+def scanner_terms(text: str) -> list[tuple[Fraction, list[tuple]]]:
+    """The terms of a class text, read one character at a time: each
+    term's coefficient and its atoms (kind, i, j, position)."""
+    sc = _Scanner(text)
+    terms = [_scan_term(sc)]
+    while True:
+        sc.skip_ws()
+        ch = sc.peek()
+        if ch == "":
+            return terms
+        if ch not in "+-":
+            raise ParseError("expected '+', '-' or end of input", sc.pos)
+        if ch == "+":
+            sc.pos += 1  # a leading '-' is consumed by the term
+        terms.append(_scan_term(sc))

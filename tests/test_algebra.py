@@ -50,6 +50,15 @@ def test_params_reject_float_delta():
     assert ModelParams(2, 8, 3, delta=Fraction(1, 2)).delta == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("delta", ["1e100000000", "1.5", " 1/2", "1_000", "1/-2", "x", ""])
+def test_params_read_a_string_delta_only_as_p_or_p_over_q(delta):
+    # Fraction would read 1e100000000 by building 10**100000000 in full
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        ModelParams(2, 8, 3, delta)
+    assert ModelParams(2, 8, 3, "-7/3").delta == Fraction(-7, 3)
+    assert ModelParams(2, 8, 3, "+4").delta == 4
+
+
 @pytest.mark.parametrize("build", [
     lambda: TautClass(1, {TautMonomial(1, opoints=(1,)): 0.1}),
     lambda: TautClass.from_monomial(TautMonomial(1), 0.1),
@@ -112,6 +121,19 @@ def test_monomial_refuses_non_integers(build):
 def test_params_refuse_non_integers(args):
     with pytest.raises(ValueError, match="integer"):
         ModelParams(*args)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: TautClass("1", {}), "factor count"),
+    (lambda: TautClass(1.0), "factor count"),
+    (lambda: TautClass(True), "factor count"),
+    (lambda: TautClass(-1), "factor count"),
+    (lambda: TautClass(1, {"x": 1}), "not a TautMonomial"),
+    (lambda: TautClass(1, {(1, (), (), ()): 1}), "not a TautMonomial"),
+], ids=["m-str", "m-float", "m-bool", "m-negative", "key-str", "key-tuple"])
+def test_class_refuses_what_is_not_a_factor_count_or_a_monomial(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_codim_examples():

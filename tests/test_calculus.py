@@ -225,3 +225,11 @@ def test_push_products_validates_its_operands():
         push_products(unit_class(2), [unit_class(3)], (1,), P)
     with pytest.raises(ValueError, match="kept factor 3 out of range"):
         push_products(unit_class(2), [unit_class(2)], (3,), P)
+
+
+@pytest.mark.parametrize("kept", [[1.5], [1.0], [True], [Fraction(1)], ["1"], [1, True]])
+def test_pushforward_refuses_a_kept_factor_that_is_not_an_int(kept):
+    # 1.5 passed the range check and pushed o2 forward to 0, where [1] gives 1
+    assert pushforward(o_class(2, 2), [1], P) == unit_class(1)
+    with pytest.raises(ValueError, match="kept factor"):
+        pushforward(o_class(2, 2), kept, P)

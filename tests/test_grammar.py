@@ -13,6 +13,8 @@ from tautring import (
     o_class,
     parse_class,
 )
+from tautring.grammar import _terms
+from oracles import scanner_terms
 from strategies import classes
 
 P = ModelParams(2, 8, 3)
@@ -72,6 +74,16 @@ def test_parse_syntax_error_reports_position():
     assert err.value.position == 5
 
 
+def test_a_digit_that_is_not_decimal_is_a_positioned_parse_error():
+    # str.isdigit accepts '²', int() does not: the scanner raised a bare ValueError
+    with pytest.raises(ParseError) as err:
+        parse_class("h1²", P)
+    assert err.value.position == 2
+    assert str(err.value) == "expected '+', '-' or end of input (at position 2)"
+    # a decimal digit of another script is an integer, as int() reads it
+    assert parse_class("h٣", P) == parse_class("h3", P)
+
+
 def test_normalizing_parse_contracts_tau_products():
     cls = parse_class("t(1,2)*t(1,3)", P)
     assert cls == TautClass.from_monomial(TautMonomial(3, pairs=((2, 3),), opoints=(1,)))
@@ -88,3 +100,39 @@ def test_format_parse_roundtrip(data):
     assert parsed == cls
     # strict mode accepts canonical output too
     assert parse_class(text, params, m=m, normalize=False) == cls
+
+
+@st.composite
+def formatted_classes(draw):
+    params = draw(st.sampled_from([ModelParams(2, 8, 3), ModelParams(4, 8, 2)]))
+    m = draw(st.integers(min_value=1, max_value=4))
+    return format_class(draw(classes(m, params.n)), params)
+
+
+# Tokens of the grammar and their near misses, with a digit that is not
+# decimal ('²'), a decimal digit of another script ('٣') and a tab.
+NEAR_MISSES = st.lists(
+    st.sampled_from(list("tho0123()/^*+-, \t²٣") + ["t(1,2)", "t(2,2)", "h1", "^0", "o3", "1/0", "2/3"]),
+    max_size=12,
+).map("".join)
+
+# Messages that name a tau pair, an exponent, a zero denominator or what may
+# follow a term; the scanner's other messages ("expected an integer", "expected
+# '('", ...) may read coarser, as the atom error or the one after a term.
+KEPT = ("tau must join", "h exponent", "zero denominator", "expected '+', '-' or end of input")
+
+
+@given(text=st.one_of(formatted_classes(), NEAR_MISSES))
+@settings(max_examples=600, deadline=None)
+def test_pattern_reader_matches_the_scanner_oracle(text):
+    try:
+        expected = scanner_terms(text)
+    except ValueError as exc:  # a ParseError, or int() refusing a digit such as '²'
+        with pytest.raises(ParseError) as err:
+            _terms(text)
+        if isinstance(exc, ParseError) and str(exc).startswith(KEPT):
+            assert str(err.value) == str(exc)
+        if isinstance(exc, ParseError) and str(err.value).startswith(KEPT[:3]):
+            assert str(err.value) == str(exc)
+    else:
+        assert _terms(text) == expected

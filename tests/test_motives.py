@@ -114,6 +114,23 @@ def test_projector_set_refuses_an_index_that_is_not_an_int(k):
         ProjectorSet(P, {k: diagonal(P)})
 
 
+@pytest.mark.parametrize("cls", ["x", None, 1, TautMonomial(2)])
+def test_correspondence_refuses_what_is_not_a_class(cls):
+    with pytest.raises(ValueError, match="not a TautClass"):
+        Correspondence(cls, 1, 1)
+
+
+@pytest.mark.parametrize("projectors, match", [
+    ({0: tau_class(2, 1, 2)}, "correspondences from one factor"),
+    ({0: "x"}, "correspondences from one factor"),
+    ([1], "map indices to correspondences"),
+    ([(0, diagonal(P))], "map indices to correspondences"),
+], ids=["class-value", "str-value", "list", "pairs"])
+def test_projector_set_refuses_what_is_not_a_map_to_correspondences(projectors, match):
+    with pytest.raises(ValueError, match=match):
+        ProjectorSet(P, projectors)
+
+
 DIAGONAL_PROFILES = [ModelParams(n, 8, 22) for n in (2, 4, 6, 12, 30)] + [DP] + [
     ModelParams(4, 8, 5, delta) for delta in (4, Fraction(1, 2), 0)
 ]
