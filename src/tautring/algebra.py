@@ -150,8 +150,12 @@ class TautClass:
     def __init__(self, m: int, terms: Mapping[TautMonomial, Fraction | int] | None = None):
         if m.__class__ is not int or m < 0:
             raise ValueError(f"factor count {m!r} must be an integer >= 0")
+        try:
+            items = () if terms is None else terms.items()
+        except AttributeError:
+            raise ValueError(f"terms {terms!r} must be a mapping of monomials to coefficients") from None
         clean: dict[TautMonomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in items:
             if mono.__class__ is not TautMonomial:
                 raise ValueError(f"term {mono!r} is not a TautMonomial")
             if mono.m != m:
@@ -259,86 +263,64 @@ def _mul_monomials(
 ) -> tuple[Fraction, TautMonomial] | None:
     """Normal form of a monomial product; None when the product is zero.
 
-    The tau edges of the operands form a graph in which every vertex has
-    degree at most two, so the components are paths and cycles.  A cycle
-    contracts to the scalar delta with o on its vertices; a path
-    contracts to a single tau between its endpoints with o on its
-    interior.  Any local class sitting on a tau vertex kills the term,
-    and locals on shared free factors combine with h^n -> d*o capping.
+    The product contracts the union of the two tau matchings, in which
+    every factor has degree at most two.  Every factor that both sides
+    cover by tau gets o.  One walk, alternating sides, goes from each
+    path end to the other end (one tau between the ends) and from each
+    doubly covered factor left over round a cycle (one factor delta).
+    A local class on a factor the other side covers by tau kills the
+    term; locals on a common free factor add, with h^n -> d*o.  The
+    fields come out in canonical order, so the monomial is built
+    without a second validation.
     """
-    n, d = params.n, params.d
-    pa: dict[int, int] = {}
-    for i, j in a.pairs:
-        pa[i] = j
-        pa[j] = i
-    pb: dict[int, int] = {}
-    for i, j in b.pairs:
-        pb[i] = j
-        pb[j] = i
-    la = dict(a.hpows)
-    for f in a.opoints:
-        la[f] = n
-    lb = dict(b.hpows)
-    for f in b.opoints:
-        lb[f] = n
-    for f in pa:
-        if f in lb:
-            return None
-    for f in pb:
-        if f in la:
-            return None
-
-    new_pairs: list[tuple[int, int]] = []
-    new_o: list[int] = []
+    n = params.n
+    la, lb = dict(a.hpows), dict(b.hpows)  # local degrees, n for o
+    la.update(dict.fromkeys(a.opoints, n))
+    lb.update(dict.fromkeys(b.opoints, n))
+    pairs: list[tuple[int, int]] = []
+    opoints: list[int] = []
     cycles = 0
-    visited: set[int] = set()
-    vertices = set(pa) | set(pb)
-    for v in sorted(vertices):
-        if v in visited or (v in pa and v in pb):
-            continue
-        # path endpoint: walk to the other end, o on the interior
-        visited.add(v)
-        cur = v
-        use_a = v in pa
-        while True:
-            w = pa[cur] if use_a else pb[cur]
-            visited.add(w)
-            if w in pa and w in pb:
-                new_o.append(w)
-                use_a = not use_a
-                cur = w
-            else:
-                new_pairs.append((v, w) if v < w else (w, v))
-                break
-    for v in sorted(vertices):
-        if v in visited:
-            continue
-        cycles += 1
-        cur = v
-        use_a = True
-        while True:
-            visited.add(cur)
-            new_o.append(cur)
-            cur = pa[cur] if use_a else pb[cur]
-            use_a = not use_a
-            if cur == v:
-                break
-    if cycles and not params.delta:
-        return None
+    if a.pairs or b.pairs:
+        pa, pb = dict(a.pairs), dict(b.pairs)  # each factor's tau partner
+        pa.update((j, i) for i, j in a.pairs)
+        pb.update((j, i) for i, j in b.pairs)
+        if not pa.keys().isdisjoint(lb) or not pb.keys().isdisjoint(la):
+            return None
+        both = pa.keys() & pb.keys()
+        opoints.extend(both)
+        seen: set[int] = set()
+        for v in (*(pa.keys() ^ pb.keys()), *both):  # the path ends first
+            if v in seen:
+                continue
+            side, cur = (pa if v in pa else pb), v
+            while True:
+                cur = side[cur]
+                seen.add(cur)
+                if cur not in both:
+                    pairs.append((v, cur) if v < cur else (cur, v))
+                    break
+                if cur == v:
+                    cycles += 1
+                    break
+                side = pb if side is pa else pa
+        if cycles and not params.delta:
+            return None
+        pairs.sort()
 
     scale = 1  # the powers of d, kept as an int until the end
-    new_h: list[tuple[int, int]] = []
-    for f in sorted(set(la) | set(lb)):
+    hpows: list[tuple[int, int]] = []
+    for f in sorted(la.keys() | lb.keys()):
         s = la.get(f, 0) + lb.get(f, 0)
         if s > n:
             return None
         if s == n:
             if f in la and f in lb:
-                scale *= d  # h^x * h^(n-x) closes to d * o
-            new_o.append(f)
+                scale *= params.d  # h^x * h^(n-x) closes to d * o
+            opoints.append(f)
         else:
-            new_h.append((f, s))
-    mono = TautMonomial(a.m, tuple(new_pairs), tuple(new_h), tuple(new_o))
+            hpows.append((f, s))
+    opoints.sort()
+    mono = tuple.__new__(TautMonomial, (a.m, tuple(pairs), tuple(hpows), tuple(opoints)))
     if cycles:
         return params.delta**cycles * scale, mono
     return (_ONE if scale == 1 else Fraction(scale)), mono
@@ -407,16 +389,22 @@ def _local_assignments(
                 yield ((f, deg),) + hp, op
 
 
+def _check_cell(m: int, codim: int) -> None:
+    if m.__class__ is not int or m < 1:
+        raise ValueError(f"factor count {m!r} must be an integer >= 1")
+    if codim.__class__ is not int or codim < 0:
+        raise ValueError(f"codimension {codim!r} must be an integer >= 0")
+
+
 def enumerate_basis(params: ModelParams, m: int, codim: int) -> list[TautMonomial]:
     """All normal-form monomials of the given codimension, in canonical order.
 
     k tau pairs give codimension n*k and leave m - 2k factors of local
     degree at most n, so only k with n*k <= codim <= n*(m - k) occur.
+    `_matchings` and `_local_assignments` yield their fields in canonical
+    order, so each monomial is built without a second validation.
     """
-    if m < 1:
-        raise ValueError("factor count must be >= 1")
-    if codim < 0:
-        raise ValueError("codimension must be >= 0")
+    _check_cell(m, codim)
     n = params.n
     out: list[TautMonomial] = []
     factors = tuple(range(1, m + 1))
@@ -428,7 +416,7 @@ def enumerate_basis(params: ModelParams, m: int, codim: int) -> list[TautMonomia
             matched = {f for p in pairs for f in p}
             unmatched = tuple(f for f in factors if f not in matched)
             for hp, op in _local_assignments(unmatched, rem, n):
-                out.append(TautMonomial(m, pairs, hp, op))
+                out.append(tuple.__new__(TautMonomial, (m, pairs, hp, op)))
     out.sort(key=TautMonomial.canonical_str)
     return out
 
@@ -459,8 +447,5 @@ def basis_count(params: ModelParams, m: int, codim: int) -> int:
     ((2k-1)!! matchings of each choice), plus local degrees on the other
     m - 2k factors summing to codim - n*k.
     """
-    if m < 1:
-        raise ValueError("factor count must be >= 1")
-    if codim < 0:
-        raise ValueError("codimension must be >= 0")
+    _check_cell(m, codim)
     return sum(blocks * prod(range(1, 2 * k, 2)) for k, blocks in _block_counts(params.n, m, codim))

@@ -46,6 +46,16 @@ _ATOM = r"(?:t\((\d+),(\d+)\)|h(\d+)(?:\^(\d+))?|o(\d+)|1)\s*"
 _STAR = r"\*\s*"
 
 
+def _int(match: re.Match, group: int) -> int | None:
+    """A matched digit run as an int (None when the group is absent); a
+    run over the interpreter's int-string limit is refused at its start."""
+    digits = match[group]
+    try:
+        return None if digits is None else int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", match.start(group)) from None
+
+
 def _terms(text: str) -> list[tuple[Fraction, list[tuple]]]:
     """Each term's coefficient and its atoms (kind, i, j, position).  The
     patterns compile on first use, through re's own cache, so that a
@@ -53,31 +63,30 @@ def _terms(text: str) -> list[tuple[Fraction, list[tuple]]]:
     terms, pos = [], 0
     while True:
         head = re.compile(_HEAD).match(text, pos)
-        sign, num, den, star = head.groups()
-        if den is not None and not int(den):
+        num, den = _int(head, 2), _int(head, 3)
+        if den == 0:
             raise ParseError("zero denominator", head.start(2))
-        coeff = Fraction(int(num or 1), int(den or 1))
+        coeff = Fraction(1 if num is None else num, den or 1)
         atoms: list[tuple] = []
-        pos, more = head.end(), num is None or star  # a bare scalar is a multiple of the unit
+        pos, more = head.end(), num is None or head[4]  # a bare scalar is a multiple of the unit
         while more:
             atom = re.compile(_ATOM).match(text, pos)
             if atom is None:
                 raise ParseError("expected a generator (t, h, o) or 1", pos)
-            t_i, t_j, h_i, exp, o_i = atom.groups()
+            t_i, t_j, h_i, exp, o_i = (_int(atom, group) for group in range(1, 6))
             if t_i is not None:
-                i, j = int(t_i), int(t_j)
-                if i == j:
+                if t_i == t_j:
                     raise ParseError("tau must join two distinct factors", pos)
-                atoms.append(("t", min(i, j), max(i, j), pos))
+                atoms.append(("t", min(t_i, t_j), max(t_i, t_j), pos))
             elif h_i is not None:
-                if exp is not None and not int(exp):
+                if exp == 0:
                     raise ParseError("h exponent must be >= 1", pos)
-                atoms.append(("h", int(h_i), int(exp or 1), pos))
+                atoms.append(("h", h_i, exp or 1, pos))
             else:
-                atoms.append(("o", int(o_i), 0, pos) if o_i else ("1", 0, 0, pos))
+                atoms.append(("o", o_i, 0, pos) if o_i is not None else ("1", 0, 0, pos))
             more = re.compile(_STAR).match(text, atom.end())
             pos = (more or atom).end()
-        terms.append((-coeff if sign else coeff, atoms))
+        terms.append((-coeff if head[1] else coeff, atoms))
         if pos == len(text):
             return terms
         if text[pos] not in "+-":

@@ -31,7 +31,10 @@ with argparse, where the CLI reads it from its option table; the parser
 tests name the argv on which the two may differ.  `scanner_terms` reads
 class text one character at a time, where the library matches the
 grammar's patterns; the two read the same terms, and a text that one
-refuses the other refuses too.
+refuses the other refuses too.  `mul_monomials_two_walks` contracts the
+paths of the tau graph in one walk and its cycles in a second, and
+builds the product through the validating constructor, where the
+library walks once and builds the canonical fields directly.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from tautring import (
     solve_linear,
     tau_class,
 )
-from tautring.algebra import _matchings
+from tautring.algebra import _ONE, _matchings
 from tautring.calculus import _mono_pairing
 from tautring.kimura import (
     DEFAULT_B_CAP,
@@ -591,3 +594,94 @@ def scanner_terms(text: str) -> list[tuple[Fraction, list[tuple]]]:
         if ch == "+":
             sc.pos += 1  # a leading '-' is consumed by the term
         terms.append(_scan_term(sc))
+
+
+def mul_monomials_two_walks(
+    a: TautMonomial, b: TautMonomial, params: ModelParams
+) -> tuple[Fraction, TautMonomial] | None:
+    """Normal form of a monomial product in two walks, paths then cycles,
+    built through the validating constructor; None when it is zero.
+
+    The tau edges of the operands form a graph in which every vertex has
+    degree at most two, so the components are paths and cycles.  A cycle
+    contracts to the scalar delta with o on its vertices; a path
+    contracts to a single tau between its endpoints with o on its
+    interior.  Any local class sitting on a tau vertex kills the term,
+    and locals on shared free factors combine with h^n -> d*o capping.
+    """
+    n, d = params.n, params.d
+    pa: dict[int, int] = {}
+    for i, j in a.pairs:
+        pa[i] = j
+        pa[j] = i
+    pb: dict[int, int] = {}
+    for i, j in b.pairs:
+        pb[i] = j
+        pb[j] = i
+    la = dict(a.hpows)
+    for f in a.opoints:
+        la[f] = n
+    lb = dict(b.hpows)
+    for f in b.opoints:
+        lb[f] = n
+    for f in pa:
+        if f in lb:
+            return None
+    for f in pb:
+        if f in la:
+            return None
+
+    new_pairs: list[tuple[int, int]] = []
+    new_o: list[int] = []
+    cycles = 0
+    visited: set[int] = set()
+    vertices = set(pa) | set(pb)
+    for v in sorted(vertices):
+        if v in visited or (v in pa and v in pb):
+            continue
+        # path endpoint: walk to the other end, o on the interior
+        visited.add(v)
+        cur = v
+        use_a = v in pa
+        while True:
+            w = pa[cur] if use_a else pb[cur]
+            visited.add(w)
+            if w in pa and w in pb:
+                new_o.append(w)
+                use_a = not use_a
+                cur = w
+            else:
+                new_pairs.append((v, w) if v < w else (w, v))
+                break
+    for v in sorted(vertices):
+        if v in visited:
+            continue
+        cycles += 1
+        cur = v
+        use_a = True
+        while True:
+            visited.add(cur)
+            new_o.append(cur)
+            cur = pa[cur] if use_a else pb[cur]
+            use_a = not use_a
+            if cur == v:
+                break
+    if cycles and not params.delta:
+        return None
+
+    scale = 1  # the powers of d, kept as an int until the end
+    new_h: list[tuple[int, int]] = []
+    for f in sorted(set(la) | set(lb)):
+        s = la.get(f, 0) + lb.get(f, 0)
+        if s > n:
+            return None
+        if s == n:
+            if f in la and f in lb:
+                scale *= d  # h^x * h^(n-x) closes to d * o
+            new_o.append(f)
+        else:
+            new_h.append((f, s))
+    mono = TautMonomial(a.m, tuple(new_pairs), tuple(new_h), tuple(new_o))
+    if cycles:
+        return params.delta**cycles * scale, mono
+    return (_ONE if scale == 1 else Fraction(scale)), mono

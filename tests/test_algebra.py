@@ -20,6 +20,7 @@ from tautring import (
     tau_class,
     unit_class,
 )
+from tautring.algebra import _mul_monomials
 import oracles
 from strategies import monomials
 
@@ -247,6 +248,51 @@ def test_enumerate_basis_preconditions():
         enumerate_basis(P28_3, 0, 1)
     with pytest.raises(ValueError):
         enumerate_basis(P28_3, 2, -1)
+
+
+@pytest.mark.parametrize("m,codim", [(True, 1), (2.0, 2), ("2", 2), (2, True), (2, 2.0), (2, None)])
+@pytest.mark.parametrize("count", [enumerate_basis, basis_count])
+def test_basis_refuses_a_factor_count_or_codimension_that_is_not_an_int(count, m, codim):
+    # a bool is an int to Python, but not a factor count: basis_count(P, True, 1) was 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        count(P28_3, m, codim)
+
+
+@pytest.mark.parametrize("terms", [[1], [(TautMonomial(1), 1)], 5, "o1"])
+def test_class_refuses_terms_that_are_not_a_mapping(terms):
+    with pytest.raises(ValueError, match="must be a mapping"):
+        TautClass(1, terms)
+
+
+PRODUCT_PROFILES = [ModelParams(n, 8, 3, delta) for n in (2, 4) for delta in (None, 0, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("params", PRODUCT_PROFILES, ids=lambda p: f"n{p.n}delta{p.delta}")
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_walk_product_matches_the_two_walk_oracle(params, data):
+    m = data.draw(st.integers(min_value=1, max_value=12))
+    a, b = data.draw(monomials(m, params.n)), data.draw(monomials(m, params.n))
+    result = _mul_monomials(a, b, params)
+    assert result == oracles.mul_monomials_two_walks(a, b, params)
+    if result is not None:  # built without validation, yet as the constructor builds it
+        assert result[1] == TautMonomial(*result[1])
+
+
+def test_one_walk_product_sorts_pairs_that_a_set_yields_out_of_order():
+    # the walk starts from the path ends in set order, and {4, 5, 7, 8} yields 8 first
+    a, b = TautMonomial(8, ((4, 7), (5, 8))), TautMonomial(8, opoints=(2, 3))
+    assert _mul_monomials(a, b, P28_3) == (1, TautMonomial(8, ((4, 7), (5, 8)), (), (2, 3)))
+
+
+@pytest.mark.parametrize("params", PRODUCT_PROFILES, ids=lambda p: f"n{p.n}delta{p.delta}")
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_basis_monomials_are_as_the_constructor_builds_them(params, data):
+    m = data.draw(st.integers(min_value=1, max_value=5))
+    codim = data.draw(st.integers(min_value=0, max_value=m * params.n))
+    for mono in enumerate_basis(params, m, codim):
+        assert mono == TautMonomial(*mono)
 
 
 PROFILES = [ModelParams(n, 8, b) for n in (2, 4) for b in (2, 3, 22)]

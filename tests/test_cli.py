@@ -507,6 +507,15 @@ def test_zero_denominator_delta_is_a_usage_error(capsys):
     assert err == "error: --delta 1/0 has a zero denominator\n"
 
 
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", int)() < 5000, reason="5000 digits are under the int-string limit"
+)
+def test_a_coefficient_over_the_int_string_limit_is_one_positioned_error(capsys):
+    code, out, err = run_cli(capsys, ["mul", "1" * 5000, "1"] + BASE)
+    assert code == 2 and out == ""
+    assert err == "error: integer of 5000 digits is too long (at position 0)\n"
+
+
 def test_mul_strict_mode_rejects_non_normal_input(capsys):
     argv = ["mul", "h1^2", "1", "--no-normalize-input"] + BASE
     code, _, err = run_cli(capsys, argv)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,21 @@ def test_a_digit_that_is_not_decimal_is_a_positioned_parse_error():
     assert str(err.value) == "expected '+', '-' or end of input (at position 2)"
     # a decimal digit of another script is an integer, as int() reads it
     assert parse_class("h٣", P) == parse_class("h3", P)
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", int)() < 5000, reason="5000 digits are under the int-string limit"
+)
+@pytest.mark.parametrize(
+    "text,position",
+    [("1" * 5000, 0), ("h" + "1" * 5000, 1), ("t(1," + "2" * 5000 + ")", 4), ("h1^" + "3" * 5000, 3), ("1/" + "2" * 5000, 2)],
+    ids=["coefficient", "h factor", "tau factor", "h exponent", "denominator"],
+)
+def test_a_digit_run_over_the_int_string_limit_is_a_positioned_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_class(text, P)
+    assert err.value.position == position
+    assert str(err.value) == f"integer of 5000 digits is too long (at position {position})"
 
 
 def test_normalizing_parse_contracts_tau_products():
