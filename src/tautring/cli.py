@@ -25,7 +25,7 @@ except ImportError:  # an interpreter built without the C accelerator
 
 from .algebra import ModelParams, basis_count, class_codim, enumerate_basis, multiply
 from .calculus import gram, pair, pullback
-from .grammar import ParseError, format_class, parse_class
+from .grammar import ParseError, format_class, format_fraction, parse_class
 from .kimura import (
     DEFAULT_B_CAP,
     DEFAULT_GRAM_CAP,
@@ -205,12 +205,12 @@ def _resolve_params(args: SimpleNamespace) -> ModelParams:
 
 def _values(record):
     """A library record as report values: a namedtuple as a dict of its
-    fields, a tuple as a list, a Fraction as its string."""
+    fields, a tuple as a list, a Fraction as its text."""
     if isinstance(record, tuple):
         if hasattr(record, "_fields"):
             return {key: _values(value) for key, value in zip(record._fields, record)}
         return [_values(value) for value in record]
-    return str(record) if isinstance(record, Fraction) else record
+    return format_fraction(record) if isinstance(record, Fraction) else record
 
 
 def _check_caps(params, m, codim=None):
@@ -255,7 +255,7 @@ def _cmd_mul(args, params):
 
 def _cmd_pair(args, params):
     x, y = _parse_operands(args, params)
-    return {"value": str(pair(x, y, params))}
+    return {"value": format_fraction(pair(x, y, params))}
 
 
 def _cmd_gram(args, params):
@@ -291,7 +291,7 @@ def _cmd_gamma3(args, params):
     )
     return {
         "coefficients": {
-            f"{i},{j},{k}": str(v) for (i, j, k), v in sorted(solution.coefficients.items())
+            f"{i},{j},{k}": format_fraction(v) for (i, j, k), v in sorted(solution.coefficients.items())
         },
         "residual": format_class(solution.residual, params),
         "residual_zero": solution.residual.is_zero,
@@ -302,7 +302,8 @@ def _cmd_gamma3(args, params):
 def _cmd_euler(args, params):
     value = euler_char(params)
     expected = Fraction(params.n + params.b)
-    return {"value": str(value), "expected": str(expected), "match": value == expected}
+    return {"value": format_fraction(value), "expected": format_fraction(expected),
+            "match": value == expected}
 
 
 # A command: its help line; its options after the common ones; run(args,

@@ -16,18 +16,11 @@ codimension then by canonical string, coefficients as 'p/q'.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .algebra import (
-    ModelParams,
-    TautClass,
-    TautMonomial,
-    h_class,
-    multiply,
-    o_class,
-    tau_class,
-    unit_class,
-)
+from .algebra import ModelParams, TautClass, h_class, multiply, o_class, tau_class, unit_class
+from .kimura import ResourceLimitError
 
 
 class ParseError(ValueError):
@@ -102,68 +95,56 @@ def parse_class(
 ) -> TautClass:
     """Parse a class expression.
 
-    With normalize=True (the default) arbitrary products are accepted
-    and rewritten to normal form, so 'h1^2' at n=2 becomes '8*o1'.  With
-    normalize=False the input must already be in normal form: h
-    exponents >= n, repeated factors and locals on tau factors are
-    rejected at the parse boundary.
+    Each term is its coefficient times the generator class of each atom,
+    multiplied in order, so arbitrary products are rewritten to normal
+    form: 'h1^2' at n=2 becomes '8*o1'.  The terms are summed into one
+    map and the class is built once, so reading is linear in the number
+    of terms.  With normalize=False the input must already be in normal
+    form: before an atom is multiplied, its h exponent must be below n
+    and it may claim no factor an earlier atom of its term has claimed.
+    On such input the product is the monomial as written.
     """
     terms = _terms(text)
     if m is None:  # the largest factor index (of a tau, its second)
         m = max([1] + [j if kind == "t" else i for _, atoms in terms for kind, i, j, _ in atoms])
     for _, atoms in terms:
         for kind, i, j, pos in atoms:
-            indices = (i, j) if kind == "t" else (i,) if kind in ("h", "o") else ()
-            for f in indices:
+            for f in _factors(kind, i, j):
                 if not 1 <= f <= m:
                     raise ParseError(f"factor index {f} out of range 1..{m}", pos)
 
-    total = TautClass.zero(m)
+    acc = {}
     for coeff, atoms in terms:
-        if normalize:
-            value = unit_class(m).scale(coeff)
-            for kind, i, j, _pos in atoms:
-                if kind == "t":
-                    factor = tau_class(m, i, j)
-                elif kind == "h":
-                    factor = h_class(params, m, i, j)
-                elif kind == "o":
-                    factor = o_class(m, i)
-                else:
-                    factor = unit_class(m)
-                value = multiply(value, factor, params)
-            total = total + value
-        else:
-            total = total + _strict_term(m, coeff, atoms, params)
-    return total
+        value, used = unit_class(m).scale(coeff), set()
+        for kind, i, j, pos in atoms:
+            if not normalize:
+                if kind == "h" and j >= params.n:
+                    raise ParseError(f"h exponent {j} must be < n={params.n}", pos)
+                for f in _factors(kind, i, j):
+                    if f in used:
+                        raise ParseError(f"factor {f} used more than once in a monomial", pos)
+                    used.add(f)
+            factor = (tau_class(m, i, j) if kind == "t" else h_class(params, m, i, j) if kind == "h"
+                      else o_class(m, i) if kind == "o" else unit_class(m))
+            value = multiply(value, factor, params)
+        for mono, c in value.terms.items():
+            acc[mono] = acc.get(mono, 0) + c
+    return TautClass(m, acc)
 
 
-def _strict_term(m: int, coeff: Fraction, atoms: list[tuple], params: ModelParams) -> TautClass:
-    pairs: list[tuple[int, int]] = []
-    hpows: list[tuple[int, int]] = []
-    opoints: list[int] = []
-    used: set[int] = set()
+def _factors(kind: str, i: int, j: int) -> tuple[int, ...]:
+    """The factors an atom names: both of a tau, the one of h or o."""
+    return (i, j) if kind == "t" else (i,) if kind in ("h", "o") else ()
 
-    def claim(f: int, pos: int) -> None:
-        if f in used:
-            raise ParseError(f"factor {f} used more than once in a monomial", pos)
-        used.add(f)
 
-    for kind, i, j, pos in atoms:
-        if kind == "t":
-            claim(i, pos)
-            claim(j, pos)
-            pairs.append((i, j))
-        elif kind == "h":
-            if j >= params.n:
-                raise ParseError(f"h exponent {j} must be < n={params.n}", pos)
-            claim(i, pos)
-            hpows.append((i, j))
-        elif kind == "o":
-            claim(i, pos)
-            opoints.append(i)
-    mono = TautMonomial(m, tuple(pairs), tuple(hpows), tuple(opoints))
-    return TautClass.from_monomial(mono, coeff)
+def format_fraction(q: Fraction) -> str:
+    """A report's text of a rational number, as 'p' or 'p/q'.  A number
+    with more digits than the interpreter writes is a resource limit."""
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(f"a value is over the int-string limit of {limit} digits") from None
 
 
 def format_class(x: TautClass, params: ModelParams) -> str:
@@ -172,18 +153,13 @@ def format_class(x: TautClass, params: ModelParams) -> str:
         return "0"
     parts: list[str] = []
     for idx, (mono, coeff) in enumerate(x.sorted_terms(params)):
-        if idx == 0:
-            sign, coeff_abs = ("-" if coeff < 0 else ""), abs(coeff)
-        else:
-            sign, coeff_abs = (" - " if coeff < 0 else " + "), abs(coeff)
-        body = mono.canonical_str()
+        sign = (" - " if coeff < 0 else " + ") if idx else ("-" if coeff < 0 else "")
+        body, scalar = mono.canonical_str(), format_fraction(abs(coeff))
         if body == "1":
-            parts.append(f"{sign}{coeff_abs}")
-        elif coeff_abs == 1:
-            parts.append(f"{sign}{body}")
+            parts.append(sign + scalar)
         else:
-            parts.append(f"{sign}{coeff_abs}*{body}")
+            parts.append(sign + body if scalar == "1" else f"{sign}{scalar}*{body}")
     return "".join(parts)
 
 
-__all__ = ["ParseError", "parse_class", "format_class"]
+__all__ = ["ParseError", "parse_class", "format_class", "format_fraction"]

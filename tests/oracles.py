@@ -35,6 +35,10 @@ refuses the other refuses too.  `mul_monomials_two_walks` contracts the
 paths of the tau graph in one walk and its cycles in a second, and
 builds the product through the validating constructor, where the
 library walks once and builds the canonical fields directly.
+`parse_class_term_by_term` adds each term of a class text to a running
+total and builds a strict term's monomial by hand, where the library
+sums all terms into one map and checks a strict term on the one path
+that multiplies generator classes.
 """
 
 from __future__ import annotations
@@ -75,9 +79,11 @@ from tautring import (
     rank_kernel,
     solve_linear,
     tau_class,
+    unit_class,
 )
 from tautring.algebra import _ONE, _matchings
 from tautring.calculus import _mono_pairing
+from tautring.grammar import _terms
 from tautring.kimura import (
     DEFAULT_B_CAP,
     DEFAULT_GRAM_CAP,
@@ -594,6 +600,76 @@ def scanner_terms(text: str) -> list[tuple[Fraction, list[tuple]]]:
         if ch == "+":
             sc.pos += 1  # a leading '-' is consumed by the term
         terms.append(_scan_term(sc))
+
+
+def parse_class_term_by_term(
+    text: str,
+    params: ModelParams,
+    m: int | None = None,
+    normalize: bool = True,
+) -> TautClass:
+    """Parse a class expression, adding each term to the running total.
+
+    With normalize=True every term is its coefficient times the atoms'
+    generator classes; with normalize=False the term's monomial is built
+    by hand, claiming each factor once and refusing h exponents >= n.
+    """
+    terms = _terms(text)
+    if m is None:  # the largest factor index (of a tau, its second)
+        m = max([1] + [j if kind == "t" else i for _, atoms in terms for kind, i, j, _ in atoms])
+    for _, atoms in terms:
+        for kind, i, j, pos in atoms:
+            indices = (i, j) if kind == "t" else (i,) if kind in ("h", "o") else ()
+            for f in indices:
+                if not 1 <= f <= m:
+                    raise ParseError(f"factor index {f} out of range 1..{m}", pos)
+
+    total = TautClass.zero(m)
+    for coeff, atoms in terms:
+        if normalize:
+            value = unit_class(m).scale(coeff)
+            for kind, i, j, _pos in atoms:
+                if kind == "t":
+                    factor = tau_class(m, i, j)
+                elif kind == "h":
+                    factor = h_class(params, m, i, j)
+                elif kind == "o":
+                    factor = o_class(m, i)
+                else:
+                    factor = unit_class(m)
+                value = multiply(value, factor, params)
+            total = total + value
+        else:
+            total = total + _strict_term(m, coeff, atoms, params)
+    return total
+
+
+def _strict_term(m: int, coeff: Fraction, atoms: list[tuple], params: ModelParams) -> TautClass:
+    pairs: list[tuple[int, int]] = []
+    hpows: list[tuple[int, int]] = []
+    opoints: list[int] = []
+    used: set[int] = set()
+
+    def claim(f: int, pos: int) -> None:
+        if f in used:
+            raise ParseError(f"factor {f} used more than once in a monomial", pos)
+        used.add(f)
+
+    for kind, i, j, pos in atoms:
+        if kind == "t":
+            claim(i, pos)
+            claim(j, pos)
+            pairs.append((i, j))
+        elif kind == "h":
+            if j >= params.n:
+                raise ParseError(f"h exponent {j} must be < n={params.n}", pos)
+            claim(i, pos)
+            hpows.append((i, j))
+        elif kind == "o":
+            claim(i, pos)
+            opoints.append(i)
+    mono = TautMonomial(m, tuple(pairs), tuple(hpows), tuple(opoints))
+    return TautClass.from_monomial(mono, coeff)
 
 
 def mul_monomials_two_walks(

@@ -516,6 +516,31 @@ def test_a_coefficient_over_the_int_string_limit_is_one_positioned_error(capsys)
     assert err == "error: integer of 5000 digits is too long (at position 0)\n"
 
 
+NINES = "9" * 4000
+LIMIT_CASES = [("mul", [NINES, NINES], "product,codim"), ("pair", [f"{NINES}*o1", NINES], "value")]
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", int)() < 8000, reason="8000 digits are under the int-string limit"
+)
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command, operands, header", LIMIT_CASES, ids=[case[0] for case in LIMIT_CASES])
+def test_a_value_over_the_int_string_limit_is_a_resource_limit(capsys, command, operands, header, fmt):
+    # both operands are read; their product has 8000 digits, which str() refuses to write
+    code, out, err = run_cli(capsys, [command, *operands, "--format", fmt] + BASE)
+    assert code == 3 and err == ""
+    error = f"a value is over the int-string limit of {sys.get_int_max_str_digits()} digits"
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["status"] == "error" and report["results"] == {"error": error}
+        assert report["inputs"] == {"x": operands[0], "y": operands[1], "m": 1}
+        jsonschema.validate(report, load_schema())
+    elif fmt == "csv":
+        assert out == header + "\n"
+    else:
+        assert out.splitlines()[-3:] == [header.replace(",", "  "), f"error: {error}", "status: error"]
+
+
 def test_mul_strict_mode_rejects_non_normal_input(capsys):
     argv = ["mul", "h1^2", "1", "--no-normalize-input"] + BASE
     code, _, err = run_cli(capsys, argv)

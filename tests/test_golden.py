@@ -7,7 +7,7 @@ Two sets of reference sha256 digests, both only read here:
 - tests/golden_digests.json holds the exit code and the digests of the
   standard output and error of GOLDEN_ARGV: every subcommand in every
   format, each resource cap in every format, `mul`/`pair` on fixed
-  operands, and usage errors.
+  operands, a value over the int-string limit, and usage errors.
 
 To re-record the second set after an intended change of output, run
 `python tests/test_golden.py` with the package on PYTHONPATH.
@@ -29,6 +29,7 @@ BENCH_DIGESTS = json.loads((HERE.parent / "bench" / "digests.json").read_text())
 GOLDEN_FILE = HERE / "golden_digests.json"
 
 SMALL = "--n 2 --d 8 --b 3"
+NINES = "9" * 4000
 _PER_FORMAT = [
     f"basis --m 2 --codim 2 {SMALL}",
     f"basis --m 3 --codim 4 {SMALL} --delta 1/2",
@@ -70,6 +71,9 @@ _PER_FORMAT = [
     f"pair h1 h1 {SMALL}",
     f"pair t(1,2)*h3 h1*h2*h3 --m 3 {SMALL} --no-normalize-input",
     f"pair 2*o1-h1*h2 5/2*o2+t(1,2) --profile three-quadrics --n 2 --b 22",
+    # a value of 8000 digits, over the int-string limit
+    f"mul {NINES} {NINES} {SMALL}",
+    f"pair {NINES}*o1 {NINES} {SMALL}",
 ]
 GOLDEN_ARGV = [f"{command} --format {fmt} --no-timing"
                for command in _PER_FORMAT for fmt in ("json", "csv", "text")] + [

@@ -15,8 +15,8 @@ from tautring import (
     parse_class,
 )
 from tautring.grammar import _terms
-from oracles import scanner_terms
-from strategies import classes
+from oracles import parse_class_term_by_term, scanner_terms
+from strategies import classes, monomials
 
 P = ModelParams(2, 8, 3)
 
@@ -152,3 +152,69 @@ def test_pattern_reader_matches_the_scanner_oracle(text):
             assert str(err.value) == str(exc)
     else:
         assert _terms(text) == expected
+
+
+def _read(reader, text, params, m, normalize):
+    """A reader's class, or the message and position of its ParseError."""
+    try:
+        return reader(text, params, m=m, normalize=normalize)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+@st.composite
+def cancelling_texts(draw, params):
+    """format_class output of a random class, followed by terms that
+    cancel each other and terms with a zero coefficient."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    parts = [format_class(draw(classes(m, params.n)), params)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        mono = draw(monomials(m, params.n)).canonical_str()
+        coeff = draw(st.sampled_from(["0", "1", "2", "3/4"]))
+        parts += [f"{coeff}*{mono}", f"-{coeff}*{mono}"] if coeff != "0" else [f"0*{mono}"]
+    order = draw(st.permutations(range(len(parts))))
+    return " + ".join(parts[k] for k in order)
+
+
+@st.composite
+def atom_texts(draw, n):
+    """Terms of random atoms: '1' atoms, repeated factors, h exponents up
+    to n + 1 and factor indices up to 4."""
+    factor = st.integers(min_value=1, max_value=4)
+    atom = st.one_of(
+        st.tuples(factor, factor).filter(lambda t: t[0] != t[1]).map(lambda t: f"t({t[0]},{t[1]})"),
+        st.tuples(factor, st.integers(min_value=1, max_value=n + 1)).map(lambda t: f"h{t[0]}^{t[1]}"),
+        factor.map(lambda f: f"o{f}"),
+        st.just("1"),
+    )
+    term = st.tuples(st.sampled_from(["", "2*", "-1/3*", "0*"]), st.lists(atom, min_size=1, max_size=4))
+    terms = draw(st.lists(term, min_size=1, max_size=4))
+    return " + ".join(coeff + "*".join(atoms) for coeff, atoms in terms)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_reader_matches_the_term_by_term_oracle(data):
+    params = data.draw(st.sampled_from([ModelParams(2, 8, 3), ModelParams(4, 8, 2)]))
+    text = data.draw(st.one_of(cancelling_texts(params), atom_texts(params.n)))
+    given_m = data.draw(st.integers(min_value=1, max_value=4))
+    for m in (None, given_m):
+        for normalize in (True, False):
+            expected = _read(parse_class_term_by_term, text, params, m, normalize)
+            assert _read(parse_class, text, params, m, normalize) == expected
+
+
+@pytest.mark.parametrize(
+    "text,m,normalize",
+    [
+        ("h1*o1 + o9", 3, False),  # a range error in a later term wins over a strict one
+        ("h1^2*o1 + t(1,4)", 3, False),
+        ("o1*t(1,2) + h2^2", None, False),  # the repeated factor comes first
+        ("h3*h3^2", None, False),  # the exponent is checked before the factor is claimed
+        ("0*h1*h1 + 1*2", None, False),
+        ("1*h1 - h1*1 + 0*o2", None, True),
+    ],
+)
+def test_one_pass_reader_matches_the_oracle_on_examples(text, m, normalize):
+    expected = _read(parse_class_term_by_term, text, P, m, normalize)
+    assert _read(parse_class, text, P, m, normalize) == expected
