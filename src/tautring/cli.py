@@ -150,7 +150,11 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
             raise UsageError(f"{flag} must be one of {', '.join(kwargs['choices'])}, not {value!r}")
         values[dest] = value
     if unknown:
-        raise UsageError(f"{name} has no option {unknown[0]!r}")
+        token = unknown[0]
+        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+        hint = "" if token[1:2] == "-" else (
+            "; every option is a -- flag or -h, so an operand that begins with '-' goes after '--'")
+        raise UsageError(f"{name} has no option {shown}{hint}")
     if len(given) != len(positionals):
         raise UsageError(f"{name} takes {len(positionals)} operands, not {len(given)}")
     if required:

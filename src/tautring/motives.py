@@ -26,7 +26,7 @@ from .algebra import (
     o_class,
     tau_class,
 )
-from .calculus import pair, pullback, push_products
+from .calculus import _dropped_key, pair, pullback, push_products
 from .grammar import format_class
 
 
@@ -155,33 +155,31 @@ def ck_projectors(params: ModelParams) -> ProjectorSet:
 
 
 def verify_ck(ps: ProjectorSet) -> CkReport:
-    """Check idempotence, mutual orthogonality, and sum-to-diagonal, exactly."""
+    """Check idempotence, mutual orthogonality, and sum-to-diagonal, exactly.
+
+    pi^k1 o pi^k2 is pi^k2 on factors 1-2 times pi^k1 on 2-3, pushed onto
+    1, 3: each projector is pulled back once per side, and the products
+    with one pi^k1 form one batch, which groups its terms once.
+    """
     params = ps.params
-    checks: list[CheckResult] = []
     indices = ps.indices()
-    for k in indices:
-        pk = ps[k]
-        square = compose(pk, pk, params)
-        ok = square.cls == pk.cls
-        detail = "" if ok else f"pi^{k} o pi^{k} = {format_class(square.cls, params)}"
-        checks.append(CheckResult(f"idempotent[{k}]", ok, detail))
+    firsts = [pullback(ps[k].cls, 3, (1, 2)) for k in indices]
+    idempotent: list[CheckResult] = []
+    orthogonal: list[CheckResult] = []
     for k1 in indices:
-        for k2 in indices:
+        row = push_products(pullback(ps[k1].cls, 3, (2, 3)), firsts, (1, 3), params)
+        for k2, product in zip(indices, row):
+            ok = product == (ps[k1].cls if k1 == k2 else TautClass.zero(2))
+            detail = "" if ok else f"pi^{k1} o pi^{k2} = {format_class(product, params)}"
             if k1 == k2:
-                continue
-            product = compose(ps[k1], ps[k2], params)
-            ok = product.cls.is_zero
-            detail = "" if ok else f"pi^{k1} o pi^{k2} = {format_class(product.cls, params)}"
-            checks.append(CheckResult(f"orthogonal[{k1},{k2}]", ok, detail))
-    total = TautClass.zero(2)
-    for k in indices:
-        total = total + ps[k].cls
-    diff = total - diagonal_class(params)
+                idempotent.append(CheckResult(f"idempotent[{k1}]", ok, detail))
+            else:
+                orthogonal.append(CheckResult(f"orthogonal[{k1},{k2}]", ok, detail))
+    diff = sum((ps[k].cls for k in indices), TautClass.zero(2)) - diagonal_class(params)
     ok = diff.is_zero
-    checks.append(
-        CheckResult("sum=diagonal", ok, "" if ok else f"sum - diagonal = {format_class(diff, params)}")
-    )
-    return CkReport(checks=tuple(checks), passed=all(c.ok for c in checks))
+    summed = CheckResult("sum=diagonal", ok, "" if ok else f"sum - diagonal = {format_class(diff, params)}")
+    checks = (*idempotent, *orthogonal, summed)
+    return CkReport(checks=checks, passed=all(c.ok for c in checks))
 
 
 def small_diagonal(params: ModelParams) -> TautClass:
@@ -213,14 +211,13 @@ def verify_mck(params: ModelParams) -> MckReport:
     partition: list[CheckResult] = []
     for (i, j), mij in zip(ijs, mijs):
         pieces = push_products(pullback(mij, 4, (1, 2, 3)), pks, (1, 2, 4), params)
-        ksum = TautClass.zero(3)
         for k, piece in zip(indices, pieces):
-            ksum = ksum + piece
             required = i + j != k
             zero = piece.is_zero
             ok = zero or not required
             detail = "" if ok else format_class(piece, params)
             cases.append(MckCase(i, j, k, required, zero, ok, detail))
+        ksum = sum(pieces, TautClass.zero(3))
         ok = ksum == mij
         partition.append(
             CheckResult(
@@ -265,29 +262,25 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
     against the three diagonal-times-point corrections.
 
     Sets up  sm - (D_12 o_3 + D_13 o_2 + D_23 o_1) + sum a_ijk h1^i h2^j h3^k = 0
-    over exponent triples i + j + k = 2n with each exponent at most n
-    (exponent n realized through o).  Each h1^i h2^j h3^k is a single
-    monomial times a power of d, distinct for distinct triples, so a_ijk
-    is read off the gap's coefficient there.  What is left is the
-    residual, zero exactly when the system is solvable.
+    over exponent triples i + j + k = 2n with each exponent at most n.
+    h1^i h2^j h3^k is d^#o times the tau-free monomial of local degrees
+    (i, j, k), o read as degree n, so a_ijk = -c / d^#o for the gap's
+    term c there.  The gap's other terms (a tau pair, or degrees off the
+    system) are the residual, zero exactly when the system is solvable.
     """
     n = params.n
     diag = diagonal_class(params)
     gap = small_diagonal(params)
     for (fi, fj), other in (((1, 2), 3), ((1, 3), 2), ((2, 3), 1)):
-        term = multiply(pullback(diag, 3, (fi, fj)), o_class(3, other), params)
-        gap = gap - term
-    coefficients: dict[tuple[int, int, int], Fraction] = {}
-    residual = dict(gap.terms)  # one TautClass at the end, not a copy per read-off
-    for i in range(n + 1):
-        for j in range(n - i, n + 1):
-            k = 2 * n - i - j
-            cls = multiply(h_class(params, 3, 1, i), h_class(params, 3, 2, j), params)
-            cls = multiply(cls, h_class(params, 3, 3, k), params)
-            ((mono, scale),) = cls.terms.items()
-            value = -gap.coefficient(mono) / scale
-            coefficients[i, j, k] = value
-            residual[mono] = residual.get(mono, 0) + value * scale
+        gap = gap - multiply(pullback(diag, 3, (fi, fj)), o_class(3, other), params)
+    coefficients = {(i, j, 2 * n - i - j): Fraction(0) for i in range(n + 1) for j in range(n - i, n + 1)}
+    residual: dict[TautMonomial, Fraction] = {}
+    for mono, c in gap.terms.items():
+        key = _dropped_key(mono, (1, 2, 3), n)  # -1 on a factor tau covers
+        if key in coefficients:
+            coefficients[key] = -c / params.d ** len(mono.opoints)
+        else:
+            residual[mono] = c
     return Gamma3Solution(coefficients=coefficients, residual=TautClass(3, residual))
 
 

@@ -8,10 +8,12 @@ cell where the library uses the closed-form block count, and
 library reads off its eigenvalues, and `matching_gram_rank_by_all_shapes`
 sums those eigenvalues' multiplicities over every partition, where the
 library skips the shapes too tall to count at an integer loop value.  `solve_gamma3` solves the linear
-system whose solution the library reads off monomial by monomial.
+system whose solution the library reads off the gap's terms.
 `compose` and `verify_mck` form every product on the triple product and
 then push forward, where the library forms only the products that
-survive the pushforward.  `pushforward` keeps the terms that carry o on
+survive the pushforward.  `verify_ck_pair_by_pair` makes one such
+composition per projector law, where the library forms the products
+with one projector in one batch.  `pushforward` keeps the terms that carry o on
 every dropped factor, where the library pushes the product with the
 unit through `push_products`.  `tensor` multiplies the two pullbacks in
 full, where the library joins their monomials.  `verify_kimura_vanishing` runs the radical
@@ -50,6 +52,7 @@ from fractions import Fraction
 
 from tautring import (
     CheckResult,
+    CkReport,
     Correspondence,
     Gamma3Solution,
     KimuraReport,
@@ -57,6 +60,7 @@ from tautring import (
     MckReport,
     ModelParams,
     ParseError,
+    ProjectorSet,
     RationalMatrix,
     ResourceLimitError,
     ScanRow,
@@ -426,6 +430,36 @@ def tensor(f: Correspondence, g: Correspondence, params: ModelParams) -> Corresp
     emb_g = tuple(range(f.s + 1, f.s + g.s + 1)) + tuple(range(f.s + g.s + f.t + 1, total + 1))
     cls = multiply(pullback(f.cls, total, emb_f), pullback(g.cls, total, emb_g), params)
     return Correspondence(cls, f.s + g.s, f.t + g.t)
+
+
+def verify_ck_pair_by_pair(ps: ProjectorSet) -> CkReport:
+    """The projector laws, one full composition per check."""
+    params = ps.params
+    checks: list[CheckResult] = []
+    indices = ps.indices()
+    for k in indices:
+        pk = ps[k]
+        square = compose(pk, pk, params)
+        ok = square.cls == pk.cls
+        detail = "" if ok else f"pi^{k} o pi^{k} = {format_class(square.cls, params)}"
+        checks.append(CheckResult(f"idempotent[{k}]", ok, detail))
+    for k1 in indices:
+        for k2 in indices:
+            if k1 == k2:
+                continue
+            product = compose(ps[k1], ps[k2], params)
+            ok = product.cls.is_zero
+            detail = "" if ok else f"pi^{k1} o pi^{k2} = {format_class(product.cls, params)}"
+            checks.append(CheckResult(f"orthogonal[{k1},{k2}]", ok, detail))
+    total = TautClass.zero(2)
+    for k in indices:
+        total = total + ps[k].cls
+    diff = total - diagonal_class(params)
+    ok = diff.is_zero
+    checks.append(
+        CheckResult("sum=diagonal", ok, "" if ok else f"sum - diagonal = {format_class(diff, params)}")
+    )
+    return CkReport(checks=tuple(checks), passed=all(c.ok for c in checks))
 
 
 def verify_mck(params: ModelParams) -> MckReport:

@@ -501,6 +501,20 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_an_operand_that_begins_with_a_dash_is_sent_after_double_dash(capsys):
+    code, out, err = run_cli(capsys, ["pair", "-5*h1*h2", "o1*o2"] + SMALL)
+    assert code == 2 and out == "" and ERROR_LINE.fullmatch(err)
+    assert err.startswith("error: pair has no option '-5*h1*h2'; ") and "after '--'" in err
+    long = "-" + "h1*" * 17_000 + "h1"  # about 53 kB, quoted only in part
+    code, out, err = run_cli(capsys, ["pair", long, "o1"] + SMALL)
+    assert code == 2 and out == "" and ERROR_LINE.fullmatch(err)
+    assert len(err) < 200 and "'--'" in err and f"({len(long)} characters)" in err
+    code, out, err = run_cli(capsys, ["pair"] + SMALL + ["--no-timing", "--", "-5*h1*h2", "o1*o2"])
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, ["pair", "--bogus", "o1", "o2"] + SMALL)  # a -- flag gets no hint
+    assert err == "error: pair has no option '--bogus'\n"
+
+
 def test_zero_denominator_delta_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, ["euler", "--delta", "1/0"] + BASE)
     assert code == 2 and out == ""

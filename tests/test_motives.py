@@ -217,6 +217,58 @@ def test_verify_ck_flags_perturbed_projector():
     assert "sum=diagonal" in failing
 
 
+def _projector_sets(params):
+    """The projector family and three changes of it: pi^0 doubled, tau
+    moved from pi^n to pi^0 (the laws hold again, only the grading moves),
+    and the whole diagonal as pi^n."""
+    ps, n, tau = ck_projectors(params), params.n, tau_class(2, 1, 2)
+    doubled = {**ps.projectors, 0: _corr(ps[0].cls.scale(2))}
+    moved = {**ps.projectors, 0: _corr(ps[0].cls + tau), n: _corr(ps[n].cls - tau)}
+    whole = {**ps.projectors, n: diagonal(params)}
+    return [ps] + [ProjectorSet(params, projectors) for projectors in (doubled, moved, whole)]
+
+
+@pytest.mark.parametrize("delta", [None, 0, Fraction(1, 2)], ids=["b-1", "0", "1/2"])
+@pytest.mark.parametrize(
+    "n, d, b", [(n, 8, 22) for n in (2, 4, 6, 12)] + [(2, 2, 44)], ids=["n2", "n4", "n6", "n12", "dp"]
+)
+def test_verify_ck_matches_the_pair_by_pair_oracle(n, d, b, delta):
+    sets = _projector_sets(ModelParams(n, d, b, delta))
+    reports = [verify_ck(ps) for ps in sets]
+    assert [report.passed for report in reports] == [True, False, True, False]
+    assert all(any(c.detail for c in report.checks) for report in reports[1::2])
+    assert reports == [oracles.verify_ck_pair_by_pair(ps) for ps in sets]
+
+
+def _count_products(monkeypatch):
+    """The names of the product calls motives makes, one entry per call."""
+    calls = []
+    for name in ("multiply", "push_products"):
+        def counted(*args, _name=name, _real=getattr(motives, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(motives, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_verify_ck_forms_the_products_with_one_projector_in_one_batch(monkeypatch, n):
+    ps = ck_projectors(ModelParams(n, 8, 22))
+    calls = _count_products(monkeypatch)
+    assert verify_ck(ps).passed
+    assert calls.count("push_products") == n + 1  # not one per pair, (n + 1)^2
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_solve_gamma3_reads_the_coefficients_off_the_gap(monkeypatch, n):
+    calls = _count_products(monkeypatch)
+    assert solve_gamma3(ModelParams(n, 8, 22)).residual.is_zero
+    # the two diagonals (n + 1 Kuenneth pieces each), the small diagonal
+    # and the three diagonal-times-point terms; no h-monomial is multiplied out
+    assert len(calls) == 2 * n + 6
+
+
 def test_small_diagonal_contains_tau_point_terms():
     sd = small_diagonal(P)
     assert sd.coefficient(TautMonomial(3, pairs=((1, 2),), opoints=(3,))) == 1
@@ -355,8 +407,11 @@ def test_solve_gamma3_n4_symmetric_with_known_values():
 
 @pytest.mark.parametrize(
     "params",
-    [ModelParams(n, 8, 22) for n in (2, 4, 6, 8, 12)] + [DP],
-    ids=["n2", "n4", "n6", "n8", "n12", "double-plane"],
+    [ModelParams(n, 8, 22) for n in (2, 4, 6, 8, 12)]
+    + [DP, ModelParams(4, 3, 5), ModelParams(6, 5, 2, Fraction(1, 2)), ModelParams(2, 7, 3, 0)]
+    + [ModelParams(8, 4, 9, -3)],
+    ids=["n2", "n4", "n6", "n8", "n12", "double-plane"]
+    + ["n4d3b5", "n6d5b2delta1/2", "n2d7b3delta0", "n8d4b9delta-3"],
 )
 def test_solve_gamma3_matches_linear_solve(params):
     solution, oracle = solve_gamma3(params), oracles.solve_gamma3(params)
