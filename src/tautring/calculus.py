@@ -43,8 +43,8 @@ def pullback(x: TautClass, m_target: int, embedding: Sequence[int]) -> TautClass
     if len(set(embedding)) != len(embedding):
         raise ValueError("embedding must be injective")
     for f in embedding:
-        if not 1 <= f <= m_target:
-            raise ValueError(f"embedding target {f} out of range 1..{m_target}")
+        if f.__class__ is not int or not 1 <= f <= m_target:  # 1.5 would pass the range check
+            raise ValueError(f"embedding target {f!r} out of range 1..{m_target}")
     relabel = {i + 1: f for i, f in enumerate(embedding)}
     return TautClass(m_target, {_moved(mono, relabel, m_target): c for mono, c in x._terms.items()})
 

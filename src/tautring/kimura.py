@@ -72,6 +72,8 @@ def falling_factorial_pairing(b: int, delta: Fraction | int, cap_b: int = DEFAUL
     This is the pairing of the alternating element against a fixed block
     matching, and it equals delta * (delta - 1) * ... * (delta - b + 1).
     """
+    if b.__class__ is not int or b < 0:
+        raise ValueError(f"b {b!r} must be an integer >= 0")
     if b > cap_b:
         raise ResourceLimitError(f"b={b} exceeds the cap {cap_b} ({b}! permutations)")
     if delta.__class__ is not Fraction:
@@ -194,6 +196,8 @@ def scan_injectivity(
     size (local degrees e <-> n - e).  Raises ResourceLimitError carrying
     the rows finished so far when that size exceeds the cap.
     """
+    if m_max.__class__ is not int:
+        raise ValueError(f"m_max {m_max!r} must be an integer >= 1")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     n = params.n

@@ -105,17 +105,30 @@ def diagonal(params: ModelParams) -> Correspondence:
     return Correspondence(diagonal_class(params), 1, 1)
 
 
-def compose(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:
-    """Composition f o g (g applied first): pull to the triple product,
-    multiply, push over the middle block (forming only the products that
-    survive the push)."""
+def _compositions(fs, gs, params: ModelParams):
+    """Yield [f o g for g in gs] (the classes) for each f in fs.
+
+    fs and gs are nonempty; all fs share one block shape, and so do all
+    gs.  Each g is pulled once onto the first g.s + g.t factors of a
+    product with f.t more, each f onto the last f.s + f.t, and the
+    products with one f are pushed over the middle block in one batch,
+    which groups f's terms once and forms only the products that survive
+    the push.
+    """
+    f, g = fs[0], gs[0]
     if g.t != f.s:
         raise ValueError(f"block mismatch: g has target size {g.t}, f has source size {f.s}")
     total = g.s + g.t + f.t
-    left = pullback(g.cls, total, tuple(range(1, g.s + g.t + 1)))
-    right = pullback(f.cls, total, tuple(range(g.s + 1, total + 1)))
+    lefts = [pullback(x.cls, total, range(1, g.s + g.t + 1)) for x in gs]
     kept = (*range(1, g.s + 1), *range(g.s + g.t + 1, total + 1))
-    (cls,) = push_products(left, (right,), kept, params)
+    for f in fs:
+        yield push_products(pullback(f.cls, total, range(g.s + 1, total + 1)), lefts, kept, params)
+
+
+def compose(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:
+    """Composition f o g (g applied first): pull to the triple product,
+    multiply, push over the middle block."""
+    ((cls,),) = _compositions((f,), (g,), params)
     return Correspondence(cls, g.s, f.t)
 
 
@@ -126,23 +139,13 @@ def transpose(f: Correspondence) -> Correspondence:
 
 
 def tensor(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:
-    """Product correspondence acting on juxtaposed source and target blocks.
-
-    The two pullbacks sit on disjoint factors, so no rewriting rule
-    applies: each term of the product is the union of one monomial of
-    each, with the product of their coefficients.
-    """
+    """Product correspondence acting on juxtaposed source and target blocks:
+    the product of the two pullbacks."""
     total = f.s + g.s + f.t + g.t
     emb_f = tuple(range(1, f.s + 1)) + tuple(range(f.s + g.s + 1, f.s + g.s + f.t + 1))
     emb_g = tuple(range(f.s + 1, f.s + g.s + 1)) + tuple(range(f.s + g.s + f.t + 1, total + 1))
-    left = pullback(f.cls, total, emb_f).terms.items()
-    right = pullback(g.cls, total, emb_g).terms.items()
-    terms = {
-        TautMonomial(total, a.pairs + b.pairs, a.hpows + b.hpows, a.opoints + b.opoints): ca * cb
-        for a, ca in left
-        for b, cb in right
-    }
-    return Correspondence(TautClass(total, terms), f.s + g.s, f.t + g.t)
+    cls = multiply(pullback(f.cls, total, emb_f), pullback(g.cls, total, emb_g), params)
+    return Correspondence(cls, f.s + g.s, f.t + g.t)
 
 
 def ck_projectors(params: ModelParams) -> ProjectorSet:
@@ -157,17 +160,14 @@ def ck_projectors(params: ModelParams) -> ProjectorSet:
 def verify_ck(ps: ProjectorSet) -> CkReport:
     """Check idempotence, mutual orthogonality, and sum-to-diagonal, exactly.
 
-    pi^k1 o pi^k2 is pi^k2 on factors 1-2 times pi^k1 on 2-3, pushed onto
-    1, 3: each projector is pulled back once per side, and the products
-    with one pi^k1 form one batch, which groups its terms once.
+    The compositions pi^k1 o pi^k2 with one pi^k1 form one batch.
     """
     params = ps.params
     indices = ps.indices()
-    firsts = [pullback(ps[k].cls, 3, (1, 2)) for k in indices]
+    projectors = [ps[k] for k in indices]
     idempotent: list[CheckResult] = []
     orthogonal: list[CheckResult] = []
-    for k1 in indices:
-        row = push_products(pullback(ps[k1].cls, 3, (2, 3)), firsts, (1, 3), params)
+    for k1, row in zip(indices, _compositions(projectors, projectors, params)):
         for k2, product in zip(indices, row):
             ok = product == (ps[k1].cls if k1 == k2 else TautClass.zero(2))
             detail = "" if ok else f"pi^{k1} o pi^{k2} = {format_class(product, params)}"
@@ -200,17 +200,12 @@ def verify_mck(params: ModelParams) -> MckReport:
     ps = ck_projectors(params)
     indices = ps.indices()
     ijs = [(i, j) for i in indices for j in indices]
-    # Two batches of compositions, each grouping one operand's terms once:
-    # the small diagonal on factors 3-5 against every pi^i x pi^j on 1-4,
-    # pushed onto 1, 2, 5; then each result on 1-3 against every pi^k on
-    # 3-4, pushed onto 1, 2, 4.
-    tensors = [pullback(tensor(ps[i], ps[j], params).cls, 5, (1, 2, 3, 4)) for i, j in ijs]
-    mijs = push_products(pullback(small_diagonal(params), 5, (3, 4, 5)), tensors, (1, 2, 5), params)
-    pks = [pullback(ps[k].cls, 4, (3, 4)) for k in indices]
+    tensors = [tensor(ps[i], ps[j], params) for i, j in ijs]
+    (mijs,) = _compositions((Correspondence(small_diagonal(params), 2, 1),), tensors, params)
+    rows = _compositions([ps[k] for k in indices], [Correspondence(mij, 2, 1) for mij in mijs], params)
     cases: list[MckCase] = []
     partition: list[CheckResult] = []
-    for (i, j), mij in zip(ijs, mijs):
-        pieces = push_products(pullback(mij, 4, (1, 2, 3)), pks, (1, 2, 4), params)
+    for (i, j), mij, pieces in zip(ijs, mijs, zip(*rows)):
         for k, piece in zip(indices, pieces):
             required = i + j != k
             zero = piece.is_zero

@@ -15,8 +15,10 @@ survive the pushforward.  `verify_ck_pair_by_pair` makes one such
 composition per projector law, where the library forms the products
 with one projector in one batch.  `pushforward` keeps the terms that carry o on
 every dropped factor, where the library pushes the product with the
-unit through `push_products`.  `tensor` multiplies the two pullbacks in
-full, where the library joins their monomials.  `verify_kimura_vanishing` runs the radical
+unit through `push_products`.  `tensor_by_unions` joins the monomials of
+the two pullbacks, where the library multiplies them in the ring.
+`small_diagonal_closed_form` writes the small diagonal term by term,
+where the library multiplies two diagonals.  `verify_kimura_vanishing` runs the radical
 test on the alternating element and pairs it with every crossing
 matching, where the library pairs it with one.  `basis_by_all_matchings`
 walks every partial matching and every local degree, where the library
@@ -423,13 +425,36 @@ def compose(f: Correspondence, g: Correspondence, params: ModelParams) -> Corres
     return Correspondence(pushforward(multiply(left, right, params), kept, params), g.s, f.t)
 
 
-def tensor(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:
-    """f x g: the full product of the two pullbacks in the ring."""
+def tensor_by_unions(f: Correspondence, g: Correspondence, params: ModelParams) -> Correspondence:
+    """f x g: the two pullbacks sit on disjoint factors, so no rewriting
+    rule applies, and each term of the product is the union of one
+    monomial of each, with the product of their coefficients."""
     total = f.s + g.s + f.t + g.t
     emb_f = tuple(range(1, f.s + 1)) + tuple(range(f.s + g.s + 1, f.s + g.s + f.t + 1))
     emb_g = tuple(range(f.s + 1, f.s + g.s + 1)) + tuple(range(f.s + g.s + f.t + 1, total + 1))
-    cls = multiply(pullback(f.cls, total, emb_f), pullback(g.cls, total, emb_g), params)
-    return Correspondence(cls, f.s + g.s, f.t + g.t)
+    left = pullback(f.cls, total, emb_f).terms.items()
+    right = pullback(g.cls, total, emb_g).terms.items()
+    terms = {
+        TautMonomial(total, a.pairs + b.pairs, a.hpows + b.hpows, a.opoints + b.opoints): ca * cb
+        for a, ca in left
+        for b, cb in right
+    }
+    return Correspondence(TautClass(total, terms), f.s + g.s, f.t + g.t)
+
+
+def small_diagonal_closed_form(params: ModelParams) -> TautClass:
+    """The small diagonal term by term: t23 o1 + t13 o2 + t12 o3 plus
+    (1/d^2) h1^i h2^j h3^k over i + j + k = 2n with each exponent at most n."""
+    n, d = params.n, params.d
+    total = TautClass.zero(3)
+    for (i, j), other in (((2, 3), 1), ((1, 3), 2), ((1, 2), 3)):
+        total = total + multiply(tau_class(3, i, j), o_class(3, other), params)
+    for i in range(n + 1):
+        for j in range(n - i, n + 1):
+            cls = multiply(h_class(params, 3, 1, i), h_class(params, 3, 2, j), params)
+            cls = multiply(cls, h_class(params, 3, 3, 2 * n - i - j), params)
+            total = total + cls.scale(Fraction(1, d * d))
+    return total
 
 
 def verify_ck_pair_by_pair(ps: ProjectorSet) -> CkReport:
@@ -471,7 +496,7 @@ def verify_mck(params: ModelParams) -> MckReport:
     partition: list[CheckResult] = []
     for i in indices:
         for j in indices:
-            mij = compose(sm, tensor(ps[i], ps[j], params), params)
+            mij = compose(sm, tensor_by_unions(ps[i], ps[j], params), params)
             ksum = TautClass.zero(3)
             for k in indices:
                 piece = compose(ps[k], mij, params)

@@ -66,6 +66,13 @@ def test_pullback_requires_injective_embedding():
         pullback(tau_class(2, 1, 2), 3, (1, 4))
 
 
+@pytest.mark.parametrize("target", [1.5, True], ids=["float", "bool"])
+def test_pullback_refuses_a_target_that_is_not_an_int(target):
+    # no term lands on the target, so only its type can refuse it
+    with pytest.raises(ValueError, match=f"embedding target {target!r} out of range 1..2"):
+        pullback(unit_class(1), 2, [target])
+
+
 def test_pushforward_of_tau_vanishes():
     # diagonal part and top Kuenneth term cancel: the derivation expands
     # tau = diag - (1/d) sum h^j x h^(n-j) and integrates one factor

@@ -85,6 +85,12 @@ def test_falling_factorial_refuses_a_float_loop_value():
         falling_factorial_pairing(3, 2.0)
 
 
+@pytest.mark.parametrize("b", [2.5, -1, True], ids=["float", "negative", "bool"])
+def test_falling_factorial_refuses_a_size_that_is_not_a_count(b):
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
+        falling_factorial_pairing(b, 3)
+
+
 def test_falling_factorial_matches_closed_form_and_independent_sum():
     deltas = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(7, 2)]
     for b in range(1, 7):
@@ -206,6 +212,12 @@ def test_scan_emits_partial_table_on_resource_limit():
 def test_scan_validates_m_max():
     with pytest.raises(ValueError):
         scan_injectivity(P2, 0)
+
+
+@pytest.mark.parametrize("m_max", [2.5, "3", True], ids=["float", "str", "bool"])
+def test_scan_refuses_an_m_max_that_is_not_an_int(m_max):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        scan_injectivity(P2, m_max)
 
 
 def test_matching_gram_ranks_follow_brauer_invariant_counts():

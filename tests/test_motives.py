@@ -217,6 +217,11 @@ def test_verify_ck_flags_perturbed_projector():
     assert "sum=diagonal" in failing
 
 
+def test_verify_ck_of_an_empty_set_reports_only_the_sum():
+    report = verify_ck(ProjectorSet(P, {}))
+    assert [c.name for c in report.checks] == ["sum=diagonal"] and not report.passed
+
+
 def _projector_sets(params):
     """The projector family and three changes of it: pi^0 doubled, tau
     moved from pi^n to pi^0 (the laws hold again, only the grading moves),
@@ -260,6 +265,22 @@ def test_verify_ck_forms_the_products_with_one_projector_in_one_batch(monkeypatc
     assert calls.count("push_products") == n + 1  # not one per pair, (n + 1)^2
 
 
+@pytest.mark.parametrize("n", [2, 12])
+def test_verify_mck_forms_the_products_with_one_operand_in_one_batch(monkeypatch, n):
+    params = ModelParams(n, 8, 22)
+    calls = _count_products(monkeypatch)
+    assert verify_mck(params).passed
+    # one batch for the small diagonal, then one per pi^k, not one per (i, j)
+    assert calls.count("push_products") == n + 2
+
+
+def test_compose_forms_its_products_in_one_batch(monkeypatch):
+    ps = ck_projectors(P)
+    calls = _count_products(monkeypatch)
+    compose(ps[0], ps[P.n], P)
+    assert calls == ["push_products"]
+
+
 @pytest.mark.parametrize("n", [12, 24])
 def test_solve_gamma3_reads_the_coefficients_off_the_gap(monkeypatch, n):
     calls = _count_products(monkeypatch)
@@ -283,6 +304,22 @@ def test_small_diagonal_is_symmetric():
         sd = small_diagonal(params)
         for emb in ((2, 1, 3), (3, 2, 1), (2, 3, 1)):
             assert pullback(sd, 3, emb) == sd
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(2, 8, 3),
+        ModelParams(4, 8, 22),
+        ModelParams(6, 5, 2, Fraction(1, 2)),
+        ModelParams(2, 2, 22),
+        ModelParams(8, 4, 9, -3),
+        ModelParams(2, 7, 3, 0),
+    ],
+    ids=lambda p: f"n{p.n}d{p.d}b{p.b}delta{p.delta}",
+)
+def test_small_diagonal_matches_its_closed_form(params):
+    assert small_diagonal(params) == oracles.small_diagonal_closed_form(params)
 
 
 def test_small_diagonal_agrees_with_other_diagonal_pairings():
@@ -332,7 +369,7 @@ def test_tensor_joins_monomials_as_the_full_product(params):
     ps = ck_projectors(params)
     for i in ps.indices():
         for j in ps.indices():
-            assert tensor(ps[i], ps[j], params) == oracles.tensor(ps[i], ps[j], params)
+            assert tensor(ps[i], ps[j], params) == oracles.tensor_by_unions(ps[i], ps[j], params)
 
 
 def test_act_reproduces_grading():
