@@ -8,6 +8,7 @@ from types import ModuleType as _ModuleType
 
 from .algebra import (
     ModelParams,
+    ResourceLimitError,
     TautClass,
     TautMonomial,
     basis_count,
@@ -34,7 +35,6 @@ from .calculus import (
 from .grammar import ParseError, format_class, parse_class
 from .kimura import (
     KimuraReport,
-    ResourceLimitError,
     ScanRow,
     falling_factorial_pairing,
     kimura_element,

@@ -449,3 +449,20 @@ def basis_count(params: ModelParams, m: int, codim: int) -> int:
     """
     _check_cell(m, codim)
     return sum(blocks * prod(range(1, 2 * k, 2)) for k, blocks in _block_counts(params.n, m, codim))
+
+
+class ResourceLimitError(RuntimeError):
+    """A configured resource cap was exceeded; carries partial output if any."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
+
+
+def _check_cap(size: int, cap: int, message: str, partial=None) -> None:
+    """The one cap rule, read before the work it predicts: a cap that is not an
+    int is a ValueError; a size over it raises ResourceLimitError(message)."""
+    if cap.__class__ is not int:
+        raise ValueError(f"cap {cap!r} must be an integer")
+    if size > cap:
+        raise ResourceLimitError(message, None if partial is None else tuple(partial))

@@ -23,16 +23,11 @@ try:
 except ImportError:  # an interpreter built without the C accelerator
     from json.encoder import py_encode_basestring_ascii as _quote
 
-from .algebra import ModelParams, basis_count, class_codim, enumerate_basis, multiply
+from .algebra import (ModelParams, ResourceLimitError, _check_cap, basis_count, class_codim,
+                      enumerate_basis, multiply)
 from .calculus import gram, pair, pullback
 from .grammar import ParseError, format_class, format_fraction, parse_class
-from .kimura import (
-    DEFAULT_B_CAP,
-    DEFAULT_GRAM_CAP,
-    ResourceLimitError,
-    scan_injectivity,
-    verify_kimura_vanishing,
-)
+from .kimura import DEFAULT_B_CAP, DEFAULT_GRAM_CAP, scan_injectivity, verify_kimura_vanishing
 from .motives import (
     ck_projectors,
     euler_char,
@@ -221,14 +216,11 @@ def _check_caps(params, m, codim=None):
     """Refuse more than FACTOR_CAP factors, or a basis over BASIS_CAP
     monomials, before any work; inputs out of range are left to the
     library's own errors."""
-    if m > FACTOR_CAP:
-        raise ResourceLimitError(f"m={m} is over the factor cap {FACTOR_CAP}")
+    _check_cap(m, FACTOR_CAP, f"m={m} is over the factor cap {FACTOR_CAP}")
     if codim is not None and m >= 1 and 0 <= codim <= m * params.n:
         size = basis_count(params, m, codim)
-        if size > BASIS_CAP:
-            raise ResourceLimitError(
-                f"basis at m={m}, codim={codim} has {size} monomials, over the cap {BASIS_CAP}"
-            )
+        message = f"basis at m={m}, codim={codim} has {size} monomials, over the cap {BASIS_CAP}"
+        _check_cap(size, BASIS_CAP, message)
 
 
 def _cmd_basis(args, params):

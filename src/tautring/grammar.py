@@ -19,8 +19,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import ModelParams, TautClass, h_class, multiply, o_class, tau_class, unit_class
-from .kimura import ResourceLimitError
+from .algebra import (ModelParams, ResourceLimitError, TautClass, h_class, multiply, o_class,
+                      tau_class, unit_class)
 
 
 class ParseError(ValueError):

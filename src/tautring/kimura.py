@@ -17,20 +17,12 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import factorial, prod
 
-from .algebra import ModelParams, TautClass, TautMonomial, _block_counts, basis_count
+from .algebra import ModelParams, TautClass, TautMonomial, _block_counts, _check_cap, basis_count
 from .calculus import pair
 from .linalg import _exact
 
 DEFAULT_B_CAP = 7
 DEFAULT_GRAM_CAP = 2000
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured resource cap was exceeded; carries partial output if any."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 def _cycle_count(perm: Sequence[int]) -> int:
@@ -56,8 +48,7 @@ def kimura_element(params: ModelParams, cap_b: int = DEFAULT_B_CAP) -> TautClass
     """Build sum over sigma of sign(sigma) * prod_i tau_(i, b+sigma(i)), the
     alternating sum of block matchings on 2b factors: b! terms, signs +-1."""
     b = params.b
-    if b > cap_b:
-        raise ResourceLimitError(f"b={b} exceeds the cap {cap_b} ({b}! terms)")
+    _check_cap(b, cap_b, f"b={b} exceeds the cap {cap_b} ({b}! terms)")
     m = 2 * b
     terms: dict[TautMonomial, Fraction] = {}
     for perm in itertools.permutations(range(1, b + 1)):
@@ -74,8 +65,7 @@ def falling_factorial_pairing(b: int, delta: Fraction | int, cap_b: int = DEFAUL
     """
     if b.__class__ is not int or b < 0:
         raise ValueError(f"b {b!r} must be an integer >= 0")
-    if b > cap_b:
-        raise ResourceLimitError(f"b={b} exceeds the cap {cap_b} ({b}! permutations)")
+    _check_cap(b, cap_b, f"b={b} exceeds the cap {cap_b} ({b}! permutations)")
     if delta.__class__ is not Fraction:
         delta = _exact(delta)
     total = Fraction(0)
@@ -107,16 +97,15 @@ def verify_kimura_vanishing(
       (delta - b + 1).
 
     So K pairs to zero with every complementary monomial exactly when v
-    does.  `cap_b` is checked first (in `kimura_element`), then
-    `dual_count` against `cap_gram`, both before any pairing.
+    does.  `b` is checked against `cap_b` first, then `dual_count` against
+    `cap_gram`, and only then are the b! terms of K built.
     """
-    element = kimura_element(params, cap_b)
     b, m = params.b, 2 * params.b
+    _check_cap(b, cap_b, f"b={b} exceeds the cap {cap_b} ({b}! terms)")
     dual_count = basis_count(params, m, b * params.n)
-    if dual_count > cap_gram:
-        raise ResourceLimitError(
-            f"dual basis has {dual_count} monomials, over the Gram cap {cap_gram}"
-        )
+    message = f"dual basis has {dual_count} monomials, over the Gram cap {cap_gram}"
+    _check_cap(dual_count, cap_gram, message)
+    element = kimura_element(params, cap_b)
     identity = TautMonomial(m, tuple((i, b + i) for i in range(1, b + 1)))
     value = pair(element, TautClass.from_monomial(identity), params)
     return KimuraReport(
@@ -207,11 +196,8 @@ def scan_injectivity(
         for codim in range(m * n + 1):
             counts = list(_block_counts(n, m, codim))
             size = sum(blocks * prod(range(1, 2 * k, 2)) for k, blocks in counts)
-            if size > cap_gram:
-                raise ResourceLimitError(
-                    f"Gram dimension {size} at m={m}, codim={codim} exceeds the cap {cap_gram}",
-                    partial=tuple(rows),
-                )
+            message = f"Gram dimension {size} at m={m}, codim={codim} exceeds the cap {cap_gram}"
+            _check_cap(size, cap_gram, message, rows)
             total = 0
             for k, blocks in counts:
                 if blocks:

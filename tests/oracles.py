@@ -7,7 +7,10 @@ cell where the library uses the closed-form block count, and
 `_matching_gram_rank` eliminates the matching Gram matrix whose rank the
 library reads off its eigenvalues, and `matching_gram_rank_by_all_shapes`
 sums those eigenvalues' multiplicities over every partition, where the
-library skips the shapes too tall to count at an integer loop value.  `solve_gamma3` solves the linear
+library skips the shapes too tall to count at an integer loop value.
+`matching_gram_rank_by_increasing_subsequences` counts the same rank at
+an integer loop value as fixed-point-free involutions with short
+increasing subsequences, with no tableau shape.  `solve_gamma3` solves the linear
 system whose solution the library reads off the gap's terms.
 `compose` and `verify_mck` form every product on the triple product and
 then push forward, where the library forms only the products that
@@ -48,7 +51,10 @@ that multiplies generator classes.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -335,6 +341,53 @@ def matching_gram_rank_by_all_shapes(params: ModelParams, k: int) -> int:
         for shape in _partitions(k, k, k)
         if _matching_eigenvalue(shape, params.delta)
     )
+
+
+def _longest_increasing_subsequence(seq) -> int:
+    """Patience sorting: tails[i] is the least last entry of an
+    increasing subsequence of length i + 1 seen so far."""
+    tails: list[int] = []
+    for x in seq:
+        i = bisect_left(tails, x)
+        tails[i:i + 1] = [x]
+    return len(tails)
+
+
+@functools.lru_cache(maxsize=None)
+def _involutions_by_longest_increasing_subsequence(k: int) -> Counter:
+    """How many fixed-point-free involutions of 2k points have each
+    length of longest increasing subsequence."""
+    counts: Counter = Counter()
+    image = [0] * (2 * k)
+
+    def place(free: tuple[int, ...]) -> None:
+        if not free:
+            counts[_longest_increasing_subsequence(image)] += 1
+            return
+        first = free[0]
+        for idx in range(1, len(free)):
+            partner = free[idx]
+            image[first], image[partner] = partner, first
+            place(free[1:idx] + free[idx + 1:])
+
+    place(tuple(range(2 * k)))
+    return counts
+
+
+def matching_gram_rank_by_increasing_subsequences(k: int, N: int) -> int:
+    """r_k(N) at an integer loop value N >= 0, with no tableau shape: the
+    number of fixed-point-free involutions of 2k points whose longest
+    increasing subsequence is at most N.
+
+    RSK sends such an involution to one standard tableau whose columns
+    all have even length, and its longest increasing subsequence is the
+    tableau's first row (Baik-Rains, Duke Math. J. 109, 2001).  The
+    transposed shapes are the doubled shapes 2 lambda, with lambda a
+    partition of k into as many parts as that first row is long, so the
+    count is the sum of f^(2 lambda) over lambda of at most N parts.
+    """
+    return sum(count for length, count in _involutions_by_longest_increasing_subsequence(k).items()
+               if length <= N)
 
 
 def solve_gamma3(params: ModelParams) -> Gamma3Solution:

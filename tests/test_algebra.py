@@ -20,7 +20,7 @@ from tautring import (
     tau_class,
     unit_class,
 )
-from tautring.algebra import _mul_monomials
+from tautring.algebra import ResourceLimitError, _check_cap, _mul_monomials
 import oracles
 from strategies import monomials
 
@@ -346,3 +346,14 @@ def test_basis_count_is_symmetric_under_the_dual_codimension(n, m):
     params = ModelParams(n, 8, 3)
     for codim in range(m * n + 1):
         assert basis_count(params, m, codim) == basis_count(params, m, m * n - codim)
+
+
+def test_cap_check_builds_the_partial_rows_only_when_it_refuses():
+    rows = [1, 2]
+    assert _check_cap(5, 5, "unused", rows) is None
+    with pytest.raises(ResourceLimitError, match="^over$") as err:
+        _check_cap(6, 5, "over", rows)
+    assert err.value.partial == (1, 2)
+    with pytest.raises(ResourceLimitError) as err:
+        _check_cap(6, 5, "over")
+    assert err.value.partial is None

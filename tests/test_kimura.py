@@ -11,6 +11,7 @@ from tautring import (
     TautMonomial,
     class_codim,
     falling_factorial_pairing,
+    gram,
     kimura_element,
     pair,
     parse_class,
@@ -18,6 +19,7 @@ from tautring import (
     scan_injectivity,
     verify_kimura_vanishing,
 )
+from tautring import kimura
 from tautring.algebra import _matchings
 from tautring.kimura import _matching_eigenvalue, _matching_gram_rank, _partitions
 import oracles
@@ -173,6 +175,43 @@ def test_vanishing_respects_gram_cap():
         verify_kimura_vanishing(P3, cap_gram=10)
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every step past the caps fails: the b! terms, the permutation sums,
+    the pairing and the ranks."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the caps were read")
+
+    for name in ("kimura_element", "_sign", "_cycle_count", "pair", "_matching_gram_rank"):
+        monkeypatch.setattr(kimura, name, refuse)
+
+
+LIBRARY_CAPS = {
+    "scan cap_gram": lambda cap: scan_injectivity(P3, 2, cap_gram=cap),
+    "kimura_element cap_b": lambda cap: kimura_element(P3, cap_b=cap),
+    "falling_factorial_pairing cap_b": lambda cap: falling_factorial_pairing(3, 2, cap_b=cap),
+    "verify cap_b": lambda cap: verify_kimura_vanishing(P3, cap_b=cap),
+    "verify cap_gram": lambda cap: verify_kimura_vanishing(P3, cap_gram=cap),
+}
+
+
+@pytest.mark.parametrize("cap", ["9", 2.5, True], ids=["str", "float", "bool"])
+@pytest.mark.parametrize("call", LIBRARY_CAPS.values(), ids=LIBRARY_CAPS)
+def test_library_caps_refuse_a_cap_that_is_not_an_int_before_any_work(no_work, call, cap):
+    with pytest.raises(ValueError, match=f"cap {cap!r} must be an integer"):
+        call(cap)
+
+
+def test_vanishing_reads_the_gram_cap_before_it_builds_the_element(no_work):
+    with pytest.raises(ResourceLimitError, match="^dual basis has .* over the Gram cap 10$"):
+        verify_kimura_vanishing(ModelParams(2, 8, 8), cap_b=8, cap_gram=10)
+
+
+def test_vanishing_reads_the_b_cap_first(no_work):
+    with pytest.raises(ResourceLimitError, match=r"^b=9 exceeds the cap 7 \(9! terms\)$"):
+        verify_kimura_vanishing(ModelParams(2, 8, 9), cap_gram=10)
+
+
 KIMURA_DELTAS = (None, 0, Fraction(1, 2), 1, 2, 3, Fraction(7, 3), Fraction(-7, 3))
 
 
@@ -272,3 +311,33 @@ def test_column_shape_eigenvalue_is_the_falling_factorial():
     for b in range(1, 6):
         for delta in RANK_DELTAS:
             assert _matching_eigenvalue((1,) * b, delta) == falling_factorial_pairing(b, delta)
+
+
+def test_matching_rank_counts_involutions_by_longest_increasing_subsequence():
+    # RSK: a second route to r_k at every integer loop value, sharing
+    # nothing with the hook lengths or the eigenvalues
+    for k in range(8):
+        for N in range(2 * k + 2):
+            params = ModelParams(2, 8, 3, delta=N)
+            assert _matching_gram_rank(params, k) == (
+                oracles.matching_gram_rank_by_increasing_subsequences(k, N)), (k, N)
+
+
+def _catalan(b):
+    return comb(2 * b, b) // (b + 1)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 8), (4, 8)], ids=["double-plane", "n2", "n4"])
+@pytest.mark.parametrize("b", range(2, 9))
+def test_first_radical_is_catalan_on_2b_factors(n, d, b):
+    # at the loop value b - 1 the alternating element's relabellings span
+    # the first radical: f^(2^b) = C_b classes in the middle codimension
+    rows = scan_injectivity(ModelParams(n, d, b), 2 * b, cap_gram=10**80)
+    first = next(row for row in rows if row.deficiency)
+    assert (first.m, first.codim, first.deficiency) == (2 * b, n * b, _catalan(b))
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 8), (4, 8)], ids=["double-plane", "n2", "n4"])
+@pytest.mark.parametrize("b", (2, 3))
+def test_first_radical_is_catalan_by_elimination(n, d, b):
+    assert len(gram(ModelParams(n, d, b), 2 * b, n * b).kernel_basis) == _catalan(b)
