@@ -24,7 +24,7 @@ monomial basis.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from math import comb, prod
 from types import MappingProxyType
@@ -127,6 +127,25 @@ def _claim(factor: int, m: int, used: set[int]) -> None:
     if factor in used:
         raise ValueError(f"factor {factor} used more than once")
     used.add(factor)
+
+
+def _local_degrees(mono: TautMonomial, n: int) -> dict[int, int]:
+    """Each factor that carries a local class, mapped to its degree (o read as n)."""
+    degrees = dict(mono.hpows)
+    degrees.update(dict.fromkeys(mono.opoints, n))
+    return degrees
+
+
+def _written(m: int, pairs: tuple, degrees: Iterable[tuple[int, int]], n: int) -> TautMonomial:
+    """The monomial of sorted tau `pairs` and (factor, degree) `degrees` in factor order, with
+    degree n read as o and 0 as the unit; its fields are canonical, so it is not validated again."""
+    hpows, opoints = [], []
+    for fe in degrees:  # a loop: gram and basis build every basis monomial here
+        if fe[1] == n:
+            opoints.append(fe[0])
+        elif fe[1]:
+            hpows.append(fe)
+    return tuple.__new__(TautMonomial, (m, pairs, tuple(hpows), tuple(opoints)))
 
 
 def monomial_codim(mono: TautMonomial, params: ModelParams) -> int:
@@ -244,15 +263,15 @@ def tau_class(m: int, i: int, j: int) -> TautClass:
 
 def h_class(params: ModelParams, m: int, i: int, exp: int = 1) -> TautClass:
     """The class h_i^exp in normal form: exponent n becomes d * o_i, above n zero."""
+    if exp.__class__ is not int:  # 2.0 or True would pass the comparisons below
+        raise ValueError(f"h exponent {exp!r} must be an integer")
     if exp < 0:
         raise ValueError("h exponent must be >= 0")
-    if exp == 0:
-        return unit_class(m)
-    if exp < params.n:
-        return TautClass.from_monomial(TautMonomial(m, hpows=((i, exp),)))
-    if exp == params.n:
-        return TautClass.from_monomial(TautMonomial(m, opoints=(i,)), params.d)
-    return TautClass.zero(m)
+    TautMonomial(m, opoints=(i,))  # checks m and the factor on every branch
+    n = params.n
+    if exp > n:
+        return TautClass.zero(m)
+    return TautClass.from_monomial(_written(m, (), ((i, exp),), n), params.d if exp == n else 1)
 
 
 _ONE = Fraction(1)  # shared: most products have coefficient 1
@@ -274,9 +293,7 @@ def _mul_monomials(
     without a second validation.
     """
     n = params.n
-    la, lb = dict(a.hpows), dict(b.hpows)  # local degrees, n for o
-    la.update(dict.fromkeys(a.opoints, n))
-    lb.update(dict.fromkeys(b.opoints, n))
+    la, lb = _local_degrees(a, n), _local_degrees(b, n)
     pairs: list[tuple[int, int]] = []
     opoints: list[int] = []
     cycles = 0
@@ -370,23 +387,13 @@ def _matchings(avail: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, int]
             yield ((first, partner),) + sub
 
 
-def _local_assignments(
-    factors: tuple[int, ...], total: int, n: int
-) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
-    # degree n on a factor means the point class o; a factor takes only the
-    # degrees from which the rest can still reach the total (at most n each)
-    if total == 0:
-        yield (), ()
-        return
-    f, rest = factors[0], factors[1:]
-    for deg in range(max(0, total - n * len(rest)), min(n, total) + 1):
-        for hp, op in _local_assignments(rest, total - deg, n):
-            if deg == 0:
-                yield hp, op
-            elif deg == n:
-                yield hp, (f,) + op
-            else:
-                yield ((f, deg),) + hp, op
+def _local_assignments(count: int, total: int, n: int) -> list[tuple[int, ...]]:
+    # the local degrees, each in 0..n, of `count` factors in order summing to
+    # `total`; a factor takes only the degrees from which the rest can reach it
+    if count == 0:
+        return [()]
+    return [(deg, *rest) for deg in range(max(0, total - n * (count - 1)), min(n, total) + 1)
+            for rest in _local_assignments(count - 1, total - deg, n)]
 
 
 def _check_cell(m: int, codim: int) -> None:
@@ -401,8 +408,9 @@ def enumerate_basis(params: ModelParams, m: int, codim: int) -> list[TautMonomia
 
     k tau pairs give codimension n*k and leave m - 2k factors of local
     degree at most n, so only k with n*k <= codim <= n*(m - k) occur.
-    `_matchings` and `_local_assignments` yield their fields in canonical
-    order, so each monomial is built without a second validation.
+    The local degrees are listed once per k and placed on the factors that
+    each matching leaves free, and `_written` builds each monomial without a
+    second validation.
     """
     _check_cell(m, codim)
     n = params.n
@@ -412,11 +420,11 @@ def enumerate_basis(params: ModelParams, m: int, codim: int) -> list[TautMonomia
         rem = codim - n * k
         if rem > n * (m - 2 * k):
             continue
+        assignments = _local_assignments(m - 2 * k, rem, n)
         for pairs in _matchings(factors, k):
             matched = {f for p in pairs for f in p}
-            unmatched = tuple(f for f in factors if f not in matched)
-            for hp, op in _local_assignments(unmatched, rem, n):
-                out.append(tuple.__new__(TautMonomial, (m, pairs, hp, op)))
+            unmatched = [f for f in factors if f not in matched]
+            out += [_written(m, pairs, zip(unmatched, degrees), n) for degrees in assignments]
     out.sort(key=TautMonomial.canonical_str)
     return out
 

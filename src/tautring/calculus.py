@@ -13,16 +13,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .algebra import (
-    ModelParams,
-    TautClass,
-    TautMonomial,
-    _matchings,
-    _mul_monomials,
-    class_codim,
-    enumerate_basis,
-    unit_class,
-)
+from .algebra import (ModelParams, TautClass, TautMonomial, _check_cell, _local_degrees, _matchings,
+                      _mul_monomials, _written, class_codim, enumerate_basis, unit_class)
 from .linalg import RationalMatrix, rank_kernel
 
 
@@ -97,8 +89,7 @@ def _dropped_key(
     both and their local degrees are complementary on every other factor.
     """
     covered = {f for p in mono.pairs for f in p}
-    local = dict(mono.hpows)
-    local.update((f, n) for f in mono.opoints)
+    local = _local_degrees(mono, n)
     if complement:
         return tuple(-1 if f in covered else n - local.get(f, 0) for f in dropped)
     return tuple(-1 if f in covered else local.get(f, 0) for f in dropped)
@@ -204,6 +195,8 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
     kernels, ordered by free column (a vector's last nonzero entry), are
     the canonical kernel of the whole matrix.
     """
+    if m.__class__ is not int or codim.__class__ is not int:
+        _check_cell(m, codim)  # before the comparisons below, which "1" or None would break
     top = m * params.n
     if m >= 1 and not 0 <= codim <= top:  # enumerate_basis rejects m < 1
         raise ValueError(f"codimension {codim} is not in 0..m*n = 0..{top}")
@@ -247,10 +240,9 @@ def is_zero_in_cohomology(x: TautClass, params: ModelParams) -> bool:
     duals = []
     for key in dict.fromkeys(_dropped_key(mono, factors, n) for mono in x.terms):
         covered = tuple(f for f, e in zip(factors, key) if e < 0)
-        hpows = tuple((f, n - e) for f, e in zip(factors, key) if 0 < e < n)
-        opoints = tuple(f for f, e in zip(factors, key) if e == 0)
+        degrees = tuple((f, n - e) for f, e in zip(factors, key) if e >= 0)
         duals += [
-            TautClass.from_monomial(TautMonomial(x.m, pairs, hpows, opoints))
+            TautClass.from_monomial(_written(x.m, pairs, degrees, n))
             for pairs in _matchings(covered, len(covered) // 2)
         ]
     return all(value.is_zero for value in push_products(x, duals, (), params))

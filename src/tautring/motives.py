@@ -21,6 +21,7 @@ from .algebra import (
     TautClass,
     TautMonomial,
     _Validated,
+    _written,
     h_class,
     multiply,
     o_class,
@@ -64,6 +65,8 @@ class ProjectorSet:
     __slots__ = ("params", "projectors")
 
     def __init__(self, params: ModelParams, projectors: Mapping[int, Correspondence]):
+        if not isinstance(params, ModelParams):
+            raise ValueError(f"{params!r} is not a ModelParams")
         if not isinstance(projectors, Mapping):
             raise ValueError("projectors must map indices to correspondences")
         for k, corr in projectors.items():
@@ -90,9 +93,10 @@ class Gamma3Solution(namedtuple("Gamma3Solution", "coefficients residual")):
 
 
 def _kunneth(params: ModelParams, i: int, j: int) -> TautClass:
-    """(1/d) h1^i h2^j on the square; _kunneth(n, 0) is o1, since h^n = d o."""
-    h1, h2 = h_class(params, 2, 1, i), h_class(params, 2, 2, j)
-    return multiply(h1, h2, params).scale(Fraction(1, params.d))
+    """(1/d) h1^i h2^j on the square, exponents 0..n, as one monomial: h^n = d o."""
+    n, d = params.n, params.d
+    coeff = Fraction(d ** ((i == n) + (j == n)), d)
+    return TautClass.from_monomial(_written(2, (), ((1, i), (2, j)), n), coeff)
 
 
 def diagonal_class(params: ModelParams) -> TautClass:
@@ -183,11 +187,16 @@ def verify_ck(ps: ProjectorSet) -> CkReport:
 
 
 def small_diagonal(params: ModelParams) -> TautClass:
-    """Class of the triple diagonal on the cube, as a product of two diagonals."""
-    diag = diagonal_class(params)
-    left = pullback(diag, 3, (1, 2))
-    right = pullback(diag, 3, (1, 3))
-    return multiply(left, right, params)
+    """The triple diagonal on the cube, D_12 D_13 written term by term: t23 o1 + t13 o2 +
+    t12 o3 + (1/d^2) h1^i h2^j h3^k over i + j + k = 2n with each exponent at most n."""
+    n, d = params.n, params.d
+    terms = {_written(3, (pair,), ((f, n),), n): 1 for pair, f in (((2, 3), 1), ((1, 3), 2), ((1, 2), 3))}
+    coeffs = [Fraction(d**points, d * d) for points in range(3)]  # by the exponents equal to n
+    for i in range(n + 1):
+        for j in range(n - i, n + 1):
+            k = 2 * n - i - j
+            terms[_written(3, (), ((1, i), (2, j), (3, k)), n)] = coeffs[(i == n) + (j == n) + (k == n)]
+    return TautClass(3, terms)
 
 
 def verify_mck(params: ModelParams) -> MckReport:
@@ -239,14 +248,14 @@ def expand_diagonal_times_h(params: ModelParams, factor: int) -> TautClass:
     """Product of the diagonal with h on one factor, in normal form.
 
     The result must equal the closed Kuenneth form
-    (1/d) * sum_k h^k x h^(n+1-k); a mismatch would mean the model
-    relations are broken, and raises ArithmeticError.
+    (1/d) * sum_k h^k x h^(n+1-k) over k = 1..n; a mismatch would mean the
+    model relations are broken, and raises ArithmeticError.
     """
     if factor not in (1, 2):
         raise ValueError("factor must be 1 or 2")
     n = params.n
     product = multiply(diagonal_class(params), h_class(params, 2, factor, 1), params)
-    expected = sum((_kunneth(params, k, n + 1 - k) for k in range(n + 2)), TautClass.zero(2))
+    expected = sum((_kunneth(params, k, n + 1 - k) for k in range(1, n + 1)), TautClass.zero(2))
     if product != expected:
         raise ArithmeticError("diagonal-times-h expansion does not match its closed form")
     return product
@@ -265,12 +274,13 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
     """
     n = params.n
     diag = diagonal_class(params)
-    gap = small_diagonal(params)
+    gap = dict(small_diagonal(params).terms)
     for (fi, fj), other in (((1, 2), 3), ((1, 3), 2), ((2, 3), 1)):
-        gap = gap - multiply(pullback(diag, 3, (fi, fj)), o_class(3, other), params)
+        for mono, c in multiply(pullback(diag, 3, (fi, fj)), o_class(3, other), params).terms.items():
+            gap[mono] = gap.get(mono, 0) - c
     coefficients = {(i, j, 2 * n - i - j): Fraction(0) for i in range(n + 1) for j in range(n - i, n + 1)}
     residual: dict[TautMonomial, Fraction] = {}
-    for mono, c in gap.terms.items():
+    for mono, c in gap.items():
         key = _dropped_key(mono, (1, 2, 3), n)  # -1 on a factor tau covers
         if key in coefficients:
             coefficients[key] = -c / params.d ** len(mono.opoints)

@@ -20,8 +20,8 @@ with one projector in one batch.  `pushforward` keeps the terms that carry o on
 every dropped factor, where the library pushes the product with the
 unit through `push_products`.  `tensor_by_unions` joins the monomials of
 the two pullbacks, where the library multiplies them in the ring.
-`small_diagonal_closed_form` writes the small diagonal term by term,
-where the library multiplies two diagonals.  `verify_kimura_vanishing` runs the radical
+`small_diagonal` multiplies two diagonals, where the library writes the
+small diagonal term by term.  `verify_kimura_vanishing` runs the radical
 test on the alternating element and pairs it with every crossing
 matching, where the library pairs it with one.  `basis_by_all_matchings`
 walks every partial matching and every local degree, where the library
@@ -105,7 +105,7 @@ from tautring.kimura import (
     _sign,
 )
 from tautring.linalg import _exact_div, _integer_rows
-from tautring.motives import diagonal_class, small_diagonal
+from tautring.motives import diagonal_class
 
 
 @dataclass(frozen=True)
@@ -495,19 +495,11 @@ def tensor_by_unions(f: Correspondence, g: Correspondence, params: ModelParams) 
     return Correspondence(TautClass(total, terms), f.s + g.s, f.t + g.t)
 
 
-def small_diagonal_closed_form(params: ModelParams) -> TautClass:
-    """The small diagonal term by term: t23 o1 + t13 o2 + t12 o3 plus
-    (1/d^2) h1^i h2^j h3^k over i + j + k = 2n with each exponent at most n."""
-    n, d = params.n, params.d
-    total = TautClass.zero(3)
-    for (i, j), other in (((2, 3), 1), ((1, 3), 2), ((1, 2), 3)):
-        total = total + multiply(tau_class(3, i, j), o_class(3, other), params)
-    for i in range(n + 1):
-        for j in range(n - i, n + 1):
-            cls = multiply(h_class(params, 3, 1, i), h_class(params, 3, 2, j), params)
-            cls = multiply(cls, h_class(params, 3, 3, 2 * n - i - j), params)
-            total = total + cls.scale(Fraction(1, d * d))
-    return total
+def small_diagonal(params: ModelParams) -> TautClass:
+    """The small diagonal as the product of two diagonals, D_12 D_13, each
+    built from products of h classes."""
+    diag = diagonal_from_points(params)
+    return multiply(pullback(diag, 3, (1, 2)), pullback(diag, 3, (1, 3)), params)
 
 
 def verify_ck_pair_by_pair(ps: ProjectorSet) -> CkReport:

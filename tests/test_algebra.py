@@ -20,7 +20,7 @@ from tautring import (
     tau_class,
     unit_class,
 )
-from tautring.algebra import ResourceLimitError, _check_cap, _mul_monomials
+from tautring.algebra import ResourceLimitError, _check_cap, _local_degrees, _mul_monomials, _written
 import oracles
 from strategies import monomials
 
@@ -172,6 +172,15 @@ def test_relation_h_power_caps_to_point_class():
     assert multiply(multiply(h, h, P28_3), h, P28_3).is_zero
 
 
+@pytest.mark.parametrize("i, exp", [(1, 2.0), (1, 3.0), (1, 0.0), (1, "1"), (5, 0), (5, 3), (1, True), (1, False)])
+def test_h_class_refuses_a_non_int_exponent_and_a_factor_out_of_range(i, exp):
+    # 2.0 was 8*o1, 3.0 zero and 0.0 the unit; factor 5 of 2 passed at exponents 0 and 3
+    with pytest.raises(ValueError):
+        h_class(P28_3, 2, i, exp)
+    with pytest.raises(ValueError, match="h exponent must be >= 0"):
+        h_class(P28_3, 2, 1, -1)
+
+
 def test_relation_tau_kills_local_classes():
     tau = tau_class(2, 1, 2)
     assert multiply(tau, h_class(P28_3, 2, 1), P28_3).is_zero
@@ -241,6 +250,16 @@ def test_enumerate_basis_matches_the_all_matchings_oracle(n, m):
     params = ModelParams(n, 8, 3)
     for codim in range(m * n + 2):
         assert enumerate_basis(params, m, codim) == oracles.basis_by_all_matchings(params, m, codim)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_local_degrees_and_written_round_trip_every_basis_monomial(n):
+    params = ModelParams(n, 8, 3)
+    for m in range(1, 6):
+        for codim in range(m * n + 1):
+            for mono in enumerate_basis(params, m, codim):
+                degrees = tuple(sorted(_local_degrees(mono, n).items()))
+                assert _written(m, mono.pairs, degrees, n) == mono == TautMonomial(*mono)
 
 
 def test_enumerate_basis_preconditions():

@@ -158,6 +158,20 @@ def test_gram_rank_plus_kernel_is_basis_size():
         assert len(report.basis) == len(report.dual_basis)
 
 
+@pytest.mark.parametrize("m, codim", [(2, "1"), (2, None), (2, 1.0), (2, True), ("2", 1), (None, 1), (True, 1)])
+def test_gram_refuses_a_cell_that_is_not_an_int(m, codim):
+    # gram(P, 2, "1") and gram(P, 2, None) raised TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        gram(P, m, codim)
+
+
+def test_gram_keeps_its_messages_for_an_int_cell():
+    with pytest.raises(ValueError, match="factor count 0 must be an integer >= 1"):
+        gram(P, 0, 0)
+    with pytest.raises(ValueError, match=r"codimension -1 is not in 0\.\.m\*n = 0\.\.4"):
+        gram(P, 2, -1)
+
+
 def test_gram_reports_are_reproducible():
     assert gram(P, 3, 3) == gram(P, 3, 3)
 

@@ -44,6 +44,8 @@ _PER_FORMAT = [
     f"lemma-ok {SMALL}",
     f"gamma3 {SMALL}",
     "gamma3 --profile three-quadrics --n 12 --b 22",  # text/CSV rows sort as strings
+    *(f"{command} {profile}" for profile in ("--n 6 --d 5 --b 2 --delta 1/2", "--n 4 --d 1 --b 5")
+      for command in ("gamma3", "lemma-ok", "verify-mck")),
     f"euler {SMALL}",
     f"euler {SMALL} --delta 7/3",
     "kimura --n 2 --d 8 --b 2",

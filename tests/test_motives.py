@@ -114,6 +114,14 @@ def test_projector_set_refuses_an_index_that_is_not_an_int(k):
         ProjectorSet(P, {k: diagonal(P)})
 
 
+@pytest.mark.parametrize("params", [None, "P", (2, 8, 3)])
+@pytest.mark.parametrize("projectors", [{}, {0: ck_projectors(P)[0]}], ids=["empty", "one"])
+def test_projector_set_refuses_params_that_are_not_model_params(params, projectors):
+    # ProjectorSet(None, {}) was built, and verify_ck of it raised AttributeError
+    with pytest.raises(ValueError, match="is not a ModelParams"):
+        ProjectorSet(params, projectors)
+
+
 @pytest.mark.parametrize("cls", ["x", None, 1, TautMonomial(2)])
 def test_correspondence_refuses_what_is_not_a_class(cls):
     with pytest.raises(ValueError, match="not a TautClass"):
@@ -285,9 +293,16 @@ def test_compose_forms_its_products_in_one_batch(monkeypatch):
 def test_solve_gamma3_reads_the_coefficients_off_the_gap(monkeypatch, n):
     calls = _count_products(monkeypatch)
     assert solve_gamma3(ModelParams(n, 8, 22)).residual.is_zero
-    # the two diagonals (n + 1 Kuenneth pieces each), the small diagonal
-    # and the three diagonal-times-point terms; no h-monomial is multiplied out
-    assert len(calls) == 2 * n + 6
+    # only the three diagonal-times-point terms: the diagonal and the small
+    # diagonal are written term by term, and no h-monomial is multiplied out
+    assert calls == ["multiply"] * 3
+
+
+@pytest.mark.parametrize("build", [small_diagonal, diagonal_class, ck_projectors])
+def test_diagonals_and_projectors_are_written_without_a_product(monkeypatch, build):
+    calls = _count_products(monkeypatch)
+    build(ModelParams(12, 8, 22))
+    assert calls == []
 
 
 def test_small_diagonal_contains_tau_point_terms():
@@ -315,11 +330,13 @@ def test_small_diagonal_is_symmetric():
         ModelParams(2, 2, 22),
         ModelParams(8, 4, 9, -3),
         ModelParams(2, 7, 3, 0),
+        ModelParams(4, 1, 5),
+        ModelParams(24, 8, 22),
     ],
     ids=lambda p: f"n{p.n}d{p.d}b{p.b}delta{p.delta}",
 )
-def test_small_diagonal_matches_its_closed_form(params):
-    assert small_diagonal(params) == oracles.small_diagonal_closed_form(params)
+def test_small_diagonal_is_the_product_of_two_diagonals(params):
+    assert small_diagonal(params) == oracles.small_diagonal(params)
 
 
 def test_small_diagonal_agrees_with_other_diagonal_pairings():
