@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 from types import MappingProxyType
 
@@ -222,12 +223,7 @@ class TautClass:
     def __add__(self, other: "TautClass") -> "TautClass":
         if not isinstance(other, TautClass):
             return NotImplemented
-        if self.m != other.m:
-            raise ValueError(f"factor count mismatch: {self.m} != {other.m}")
-        acc = dict(self._terms)
-        for mono, c in other._terms.items():
-            acc[mono] = acc.get(mono, Fraction(0)) + c
-        return TautClass(self.m, acc)
+        return _sum((self, other), self.m)
 
     def __sub__(self, other: "TautClass") -> "TautClass":
         if not isinstance(other, TautClass):
@@ -247,6 +243,19 @@ class TautClass:
             f"{c}*{mono}" for mono, c in sorted(self._terms.items(), key=lambda t: t[0].canonical_str())
         )
         return f"TautClass({self.m}: {body or '0'})"
+
+
+def _sum(classes: Iterable[TautClass], m: int) -> TautClass:
+    """The sum of classes on m factors: every term is added into one map
+    and the class is built once, so a sum is linear in its terms."""
+    acc: dict[TautMonomial, Fraction] = {}
+    for x in classes:
+        if x.m != m:
+            raise ValueError(f"factor count mismatch: {m} != {x.m}")
+        for mono, c in x._terms.items():
+            prev = acc.get(mono)
+            acc[mono] = c if prev is None else prev + c
+    return TautClass(m, acc)
 
 
 def unit_class(m: int) -> TautClass:
@@ -429,6 +438,7 @@ def enumerate_basis(params: ModelParams, m: int, codim: int) -> list[TautMonomia
     return out
 
 
+@cache  # a scan asks for the same count at many cells and k
 def _local_count(factors: int, total: int, n: int) -> int:
     """Ways to give `factors` factors local degrees in 0..n summing to `total`
     (inclusion-exclusion over the factors pushed above n)."""

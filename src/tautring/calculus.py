@@ -201,7 +201,7 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
     if m >= 1 and not 0 <= codim <= top:  # enumerate_basis rejects m < 1
         raise ValueError(f"codimension {codim} is not in 0..m*n = 0..{top}")
     basis = enumerate_basis(params, m, codim)
-    dual = enumerate_basis(params, m, m * params.n - codim)
+    dual = basis if 2 * codim == top else enumerate_basis(params, m, top - codim)  # middle: self-dual
     factors = range(1, m + 1)
     dual_groups = _group(dual, factors, params.n, complement=True)
     blocks: list[GramBlock] = []

@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import (ModelParams, ResourceLimitError, TautClass, h_class, multiply, o_class,
+from .algebra import (ModelParams, ResourceLimitError, TautClass, _sum, h_class, multiply, o_class,
                       tau_class, unit_class)
 
 
@@ -113,23 +113,24 @@ def parse_class(
                 if not 1 <= f <= m:
                     raise ParseError(f"factor index {f} out of range 1..{m}", pos)
 
-    acc = {}
-    for coeff, atoms in terms:
-        value, used = unit_class(m).scale(coeff), set()
-        for kind, i, j, pos in atoms:
-            if not normalize:
-                if kind == "h" and j >= params.n:
-                    raise ParseError(f"h exponent {j} must be < n={params.n}", pos)
-                for f in _factors(kind, i, j):
-                    if f in used:
-                        raise ParseError(f"factor {f} used more than once in a monomial", pos)
-                    used.add(f)
-            factor = (tau_class(m, i, j) if kind == "t" else h_class(params, m, i, j) if kind == "h"
-                      else o_class(m, i) if kind == "o" else unit_class(m))
-            value = multiply(value, factor, params)
-        for mono, c in value.terms.items():
-            acc[mono] = acc.get(mono, 0) + c
-    return TautClass(m, acc)
+    return _sum((_term(coeff, atoms, m, params, normalize) for coeff, atoms in terms), m)
+
+
+def _term(coeff: Fraction, atoms: list[tuple], m: int, params: ModelParams, normalize: bool) -> TautClass:
+    """One term's coefficient times the generator class of each atom, in order."""
+    value, used = unit_class(m).scale(coeff), set()
+    for kind, i, j, pos in atoms:
+        if not normalize:
+            if kind == "h" and j >= params.n:
+                raise ParseError(f"h exponent {j} must be < n={params.n}", pos)
+            for f in _factors(kind, i, j):
+                if f in used:
+                    raise ParseError(f"factor {f} used more than once in a monomial", pos)
+                used.add(f)
+        factor = (tau_class(m, i, j) if kind == "t" else h_class(params, m, i, j) if kind == "h"
+                  else o_class(m, i) if kind == "o" else unit_class(m))
+        value = multiply(value, factor, params)
+    return value
 
 
 def _factors(kind: str, i: int, j: int) -> tuple[int, ...]:

@@ -21,6 +21,7 @@ from .algebra import (
     TautClass,
     TautMonomial,
     _Validated,
+    _sum,
     _written,
     h_class,
     multiply,
@@ -102,7 +103,7 @@ def _kunneth(params: ModelParams, i: int, j: int) -> TautClass:
 def diagonal_class(params: ModelParams) -> TautClass:
     """The diagonal on the square: tau plus the full Kuenneth h-sum."""
     n = params.n
-    return sum((_kunneth(params, n - j, j) for j in range(n + 1)), tau_class(2, 1, 2))
+    return _sum((tau_class(2, 1, 2), *(_kunneth(params, n - j, j) for j in range(n + 1))), 2)
 
 
 def diagonal(params: ModelParams) -> Correspondence:
@@ -179,7 +180,7 @@ def verify_ck(ps: ProjectorSet) -> CkReport:
                 idempotent.append(CheckResult(f"idempotent[{k1}]", ok, detail))
             else:
                 orthogonal.append(CheckResult(f"orthogonal[{k1},{k2}]", ok, detail))
-    diff = sum((ps[k].cls for k in indices), TautClass.zero(2)) - diagonal_class(params)
+    diff = _sum((ps[k].cls for k in indices), 2) - diagonal_class(params)
     ok = diff.is_zero
     summed = CheckResult("sum=diagonal", ok, "" if ok else f"sum - diagonal = {format_class(diff, params)}")
     checks = (*idempotent, *orthogonal, summed)
@@ -221,7 +222,7 @@ def verify_mck(params: ModelParams) -> MckReport:
             ok = zero or not required
             detail = "" if ok else format_class(piece, params)
             cases.append(MckCase(i, j, k, required, zero, ok, detail))
-        ksum = sum(pieces, TautClass.zero(3))
+        ksum = _sum(pieces, 3)
         ok = ksum == mij
         partition.append(
             CheckResult(
@@ -255,7 +256,7 @@ def expand_diagonal_times_h(params: ModelParams, factor: int) -> TautClass:
         raise ValueError("factor must be 1 or 2")
     n = params.n
     product = multiply(diagonal_class(params), h_class(params, 2, factor, 1), params)
-    expected = sum((_kunneth(params, k, n + 1 - k) for k in range(1, n + 1)), TautClass.zero(2))
+    expected = _sum((_kunneth(params, k, n + 1 - k) for k in range(1, n + 1)), 2)
     if product != expected:
         raise ArithmeticError("diagonal-times-h expansion does not match its closed form")
     return product
@@ -274,13 +275,12 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
     """
     n = params.n
     diag = diagonal_class(params)
-    gap = dict(small_diagonal(params).terms)
-    for (fi, fj), other in (((1, 2), 3), ((1, 3), 2), ((2, 3), 1)):
-        for mono, c in multiply(pullback(diag, 3, (fi, fj)), o_class(3, other), params).terms.items():
-            gap[mono] = gap.get(mono, 0) - c
+    corrections = (multiply(pullback(diag, 3, factors), o_class(3, other), params)
+                   for factors, other in (((1, 2), 3), ((1, 3), 2), ((2, 3), 1)))
+    gap = small_diagonal(params) - _sum(corrections, 3)
     coefficients = {(i, j, 2 * n - i - j): Fraction(0) for i in range(n + 1) for j in range(n - i, n + 1)}
     residual: dict[TautMonomial, Fraction] = {}
-    for mono, c in gap.items():
+    for mono, c in gap.terms.items():
         key = _dropped_key(mono, (1, 2, 3), n)  # -1 on a factor tau covers
         if key in coefficients:
             coefficients[key] = -c / params.d ** len(mono.opoints)

@@ -20,7 +20,7 @@ from tautring import (
     tau_class,
     unit_class,
 )
-from tautring.algebra import ResourceLimitError, _check_cap, _local_degrees, _mul_monomials, _written
+from tautring.algebra import ResourceLimitError, _check_cap, _local_degrees, _mul_monomials, _sum, _written
 import oracles
 from strategies import monomials
 
@@ -201,6 +201,24 @@ def test_triple_tau_consistency():
 def test_factor_count_mismatch():
     with pytest.raises(ValueError):
         multiply(unit_class(2), unit_class(3), P28_3)
+
+
+def test_sum_of_no_classes_is_the_zero_class():
+    assert _sum((), 3) == TautClass.zero(3)
+
+
+def test_sum_drops_terms_that_cancel():
+    h1, h2 = h_class(P28_3, 2, 1), h_class(P28_3, 2, 2)
+    total = _sum((h1.scale(2), h2, h1.scale(-2), o_class(2, 1), h2.scale(-1)), 2)
+    assert total == o_class(2, 1)
+
+
+def test_sum_refuses_a_class_on_other_factors_as_add_does():
+    with pytest.raises(ValueError) as added:
+        unit_class(2) + unit_class(3)
+    with pytest.raises(ValueError) as summed:
+        _sum((unit_class(2), unit_class(3)), 2)
+    assert str(summed.value) == str(added.value) == "factor count mismatch: 2 != 3"
 
 
 def _brute_basis(params, m, codim):

@@ -29,6 +29,7 @@ from tautring import (
     unit_class,
 )
 from strategies import classes
+from tautring import calculus
 import oracles
 
 P = ModelParams(2, 8, 3)
@@ -170,6 +171,20 @@ def test_gram_keeps_its_messages_for_an_int_cell():
         gram(P, 0, 0)
     with pytest.raises(ValueError, match=r"codimension -1 is not in 0\.\.m\*n = 0\.\.4"):
         gram(P, 2, -1)
+
+
+@pytest.mark.parametrize("m, codim, calls", [(2, 2, 1), (3, 3, 1), (3, 2, 2), (2, 0, 2)])
+def test_gram_enumerates_a_middle_basis_once(monkeypatch, m, codim, calls):
+    count = [0]
+
+    def counting_enumerate_basis(*args):
+        count[0] += 1
+        return enumerate_basis(*args)
+
+    monkeypatch.setattr(calculus, "enumerate_basis", counting_enumerate_basis)
+    report = gram(P, m, codim)
+    assert count[0] == calls
+    assert report.dual_basis == tuple(enumerate_basis(P, m, m * P.n - codim))
 
 
 def test_gram_reports_are_reproducible():

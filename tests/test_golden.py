@@ -48,6 +48,9 @@ _PER_FORMAT = [
       for command in ("gamma3", "lemma-ok", "verify-mck")),
     f"euler {SMALL}",
     f"euler {SMALL} --delta 7/3",
+    "euler --profile three-quadrics --n 40 --b 22",
+    "lemma-ok --profile three-quadrics --n 40 --b 22 --delta 1/2",
+    "verify-ck --profile three-quadrics --n 20 --b 22",
     "kimura --n 2 --d 8 --b 2",
     "kimura --n 2 --d 8 --b 2 --delta 2",
     "kimura --n 2 --d 8 --b 3 --cap-b 5 --cap-gram 100000",
@@ -70,6 +73,8 @@ _PER_FORMAT = [
     f"mul h1^2 1 --m 3 {SMALL}",
     f"mul 1+h1 h2 {SMALL} --no-normalize-input",
     f"mul 3*o1*o2+t(1,2) 1-h1 --m 2 {SMALL}",
+    f"mul 2*h1-h1+o2-o2 h2+3*h2-3*h2 {SMALL}",  # terms cancel while summed
+    f"gram --m 3 --codim 2 {SMALL}",  # off the middle: the dual is enumerated
     f"pair h1 h1 {SMALL}",
     f"pair t(1,2)*h3 h1*h2*h3 --m 3 {SMALL} --no-normalize-input",
     f"pair 2*o1-h1*h2 5/2*o2+t(1,2) --profile three-quadrics --n 2 --b 22",

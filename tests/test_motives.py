@@ -56,6 +56,28 @@ def test_diagonal_closed_form():
     assert diagonal_class(P) == expected
 
 
+def _terms_built(monkeypatch, n):
+    """Terms of every class constructed for the diagonal and its product with h_1."""
+    built = [0]
+    init = TautClass.__init__
+
+    def counting_init(self, m, terms=None):
+        init(self, m, terms)
+        built[0] += len(self._terms)
+
+    params = ModelParams(n, 8, 22)
+    with monkeypatch.context() as patch:
+        patch.setattr(TautClass, "__init__", counting_init)
+        diagonal_class(params)
+        expand_diagonal_times_h(params, 1)
+    return built[0]
+
+
+def test_the_diagonal_is_built_in_terms_linear_in_n(monkeypatch):
+    # a sum that copies the running class per summand builds about 4x the terms at 2n
+    assert _terms_built(monkeypatch, 400) <= 2.2 * _terms_built(monkeypatch, 200)
+
+
 def test_diagonal_is_identity_for_compose():
     diag = diagonal(P)
     rng_classes = [
