@@ -21,8 +21,6 @@ of classes of each codimension finite-dimensional with an explicit
 monomial basis.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
@@ -108,14 +106,10 @@ class TautMonomial(_Validated, namedtuple("TautMonomial", "m pairs hpows opoints
 
     def canonical_str(self) -> str:
         """Canonical text form: tau atoms sorted, then locals by factor."""
-        atoms = [f"t({i},{j})" for i, j in self.pairs]
-        locals_ = [(f, "o", 0) for f in self.opoints] + [(f, "h", e) for f, e in self.hpows]
-        for f, kind, e in sorted(locals_):
-            if kind == "o":
-                atoms.append(f"o{f}")
-            else:
-                atoms.append(f"h{f}" if e == 1 else f"h{f}^{e}")
-        return "*".join(atoms) if atoms else "1"
+        locals_ = [(f, f"o{f}") for f in self.opoints]
+        locals_ += [(f, f"h{f}" if e == 1 else f"h{f}^{e}") for f, e in self.hpows]
+        locals_.sort()  # each factor once: only the factors are compared
+        return "*".join([f"t({i},{j})" for i, j in self.pairs] + [atom for _, atom in locals_]) or "1"
 
     __str__ = canonical_str
 
@@ -239,9 +233,8 @@ class TautClass:
         return self.m == other.m and self._terms == other._terms
 
     def __repr__(self) -> str:
-        body = " + ".join(
-            f"{c}*{mono}" for mono, c in sorted(self._terms.items(), key=lambda t: t[0].canonical_str())
-        )
+        texts = sorted((str(mono), c) for mono, c in self._terms.items())
+        body = " + ".join(f"{c}*{text}" for text, c in texts)
         return f"TautClass({self.m}: {body or '0'})"
 
 

@@ -7,8 +7,6 @@ complementary codimension.  Gram reports expose that radical degree by
 degree through exact ranks and kernels.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction

@@ -8,8 +8,6 @@ limit reached.  With --no-timing the reports are byte-identical across
 runs.
 """
 
-from __future__ import annotations
-
 import io
 import os
 import sys

@@ -13,8 +13,6 @@ locals by ascending factor, exponent omitted when 1), terms ordered by
 codimension then by canonical string, coefficients as 'p/q'.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from fractions import Fraction

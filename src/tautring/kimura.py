@@ -9,8 +9,6 @@ deficiencies of the Gram pairing degree by degree to locate where the
 radical first appears.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 from collections.abc import Iterator, Sequence

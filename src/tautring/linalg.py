@@ -10,8 +10,6 @@ first nonzero entry in column order, which makes ranks, kernels and
 solutions reproducible bit for bit.
 """
 
-from __future__ import annotations
-
 import re
 from collections.abc import Sequence
 from fractions import Fraction

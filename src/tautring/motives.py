@@ -10,8 +10,6 @@ multiplicativity condition, the diagonal-times-h expansion, the
 modified small diagonal, and the Euler characteristic identity.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction

@@ -46,6 +46,9 @@ library walks once and builds the canonical fields directly.
 total and builds a strict term's monomial by hand, where the library
 sums all terms into one map and checks a strict term on the one path
 that multiplies generator classes.
+`canonical_str_by_tagged_locals` sorts each local as a (factor, kind,
+exponent) tuple and formats it by kind, where the library sorts
+(factor, atom text) pairs; both keep the tau atoms first.
 """
 
 from __future__ import annotations
@@ -865,3 +868,15 @@ def mul_monomials_two_walks(
     if cycles:
         return params.delta**cycles * scale, mono
     return (_ONE if scale == 1 else Fraction(scale)), mono
+
+
+def canonical_str_by_tagged_locals(mono: TautMonomial) -> str:
+    """Canonical text form: tau atoms sorted, then locals by factor."""
+    atoms = [f"t({i},{j})" for i, j in mono.pairs]
+    locals_ = [(f, "o", 0) for f in mono.opoints] + [(f, "h", e) for f, e in mono.hpows]
+    for f, kind, e in sorted(locals_):
+        if kind == "o":
+            atoms.append(f"o{f}")
+        else:
+            atoms.append(f"h{f}" if e == 1 else f"h{f}^{e}")
+    return "*".join(atoms) if atoms else "1"

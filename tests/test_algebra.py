@@ -280,6 +280,27 @@ def test_local_degrees_and_written_round_trip_every_basis_monomial(n):
                 assert _written(m, mono.pairs, degrees, n) == mono == TautMonomial(*mono)
 
 
+def test_canonical_str_matches_the_tagged_locals_oracle_on_a_two_digit_basis():
+    basis = enumerate_basis(P28_3, 12, 4)
+    assert len(basis) == 6336
+    assert [x.canonical_str() for x in basis] == [oracles.canonical_str_by_tagged_locals(x) for x in basis]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_str_matches_the_tagged_locals_oracle_on_two_digit_factors(data):
+    mono = data.draw(monomials(data.draw(st.integers(min_value=10, max_value=14)), 4))
+    assert mono.canonical_str() == str(mono) == oracles.canonical_str_by_tagged_locals(mono)
+
+
+def test_repr_lists_terms_by_monomial_text():
+    h1h2, h1h10 = TautMonomial(10, hpows=((1, 1), (2, 1))), TautMonomial(10, hpows=((1, 1), (10, 1)))
+    assert repr(TautClass(10, {h1h2: 1, h1h10: 2})) == "TautClass(10: 2*h1*h10 + 1*h1*h2)"
+    x = TautClass(12, {TautMonomial(12, ((3, 11),), ((10, 3),), (2,)): Fraction(-1, 2)})
+    assert repr(x) == "TautClass(12: -1/2*t(3,11)*o2*h10^3)"
+    assert repr(TautClass(3)) == "TautClass(3: 0)"
+
+
 def test_enumerate_basis_preconditions():
     with pytest.raises(ValueError):
         enumerate_basis(P28_3, 0, 1)

@@ -60,6 +60,12 @@ _PER_FORMAT = [
     "kimura --n 4 --d 8 --b 4 --cap-gram 1000000",
     f"scan --m-max 2 {SMALL}",
     "scan --n 4 --d 8 --b 3 --m-max 3 --cap-gram 100000",
+    # two-digit factors: the text sort puts h1*h10 before h1*h2
+    f"basis --m 10 --codim 2 {SMALL}",
+    f"gram --m 10 --codim 2 {SMALL}",
+    # Y's own middle Betti number b(n) = n^2 + 5n + 8 at n = 4 and 6
+    *(f"{command} --profile three-quadrics {profile}" for profile in ("--n 4 --b 44", "--n 6 --b 74")
+      for command in ("verify-ck", "verify-mck", "lemma-ok", "gamma3", "euler")),
     # resource caps
     f"basis --m 14 --codim 14 {SMALL}",
     f"gram --m 14 --codim 14 {SMALL}",
