@@ -69,8 +69,10 @@ class TautMonomial(_Validated, namedtuple("TautMonomial", "m pairs hpows opoints
     `pairs` is the tau matching (disjoint, each pair sorted), `hpows`
     maps unmatched factors to h exponents >= 1, `opoints` lists the
     unmatched factors carrying the point class.  Absent factors carry
-    the unit.  Construction sorts the fields, so equality is syntactic
-    (and, the value being a tuple, hashing and equality run in C).
+    the unit.  An exponent >= n is a raw power that the product reads
+    (h^n = d*o, zero above n); `monomial_codim` and `format_class` refuse
+    it.  Construction sorts the fields, so equality is syntactic (and,
+    the value being a tuple, hashing and equality run in C).
     """
 
     __slots__ = ()
@@ -264,16 +266,14 @@ def tau_class(m: int, i: int, j: int) -> TautClass:
 
 
 def h_class(params: ModelParams, m: int, i: int, exp: int = 1) -> TautClass:
-    """The class h_i^exp in normal form: exponent n becomes d * o_i, above n zero."""
-    if exp.__class__ is not int:  # 2.0 or True would pass the comparisons below
+    """h_i^exp in normal form: the raw power times the unit (h^n = d * o_i, zero above n)."""
+    if exp.__class__ is not int:  # 2.0 or True would pass the comparison below
         raise ValueError(f"h exponent {exp!r} must be an integer")
     if exp < 0:
         raise ValueError("h exponent must be >= 0")
-    TautMonomial(m, opoints=(i,))  # checks m and the factor on every branch
-    n = params.n
-    if exp > n:
-        return TautClass.zero(m)
-    return TautClass.from_monomial(_written(m, (), ((i, exp),), n), params.d if exp == n else 1)
+    TautMonomial(m, opoints=(i,))  # checks m and the factor, also at exponent 0
+    raw = tuple.__new__(TautMonomial, (m, (), ((i, exp),) if exp else (), ()))
+    return multiply(TautClass.from_monomial(raw), unit_class(m), params)
 
 
 _ONE = Fraction(1)  # shared: most products have coefficient 1
@@ -290,9 +290,9 @@ def _mul_monomials(
     path end to the other end (one tau between the ends) and from each
     doubly covered factor left over round a cycle (one factor delta).
     A local class on a factor the other side covers by tau kills the
-    term; locals on a common free factor add, with h^n -> d*o.  The
-    fields come out in canonical order, so the monomial is built
-    without a second validation.
+    term.  Locals on a free factor add: a sum of n (a raw h^n too) closes
+    to d*o unless it is an o carried in, and a sum above n is zero.  The
+    fields come out in canonical order, so no second validation is made.
     """
     n = params.n
     la, lb = _local_degrees(a, n), _local_degrees(b, n)
@@ -333,8 +333,8 @@ def _mul_monomials(
         if s > n:
             return None
         if s == n:
-            if f in la and f in lb:
-                scale *= params.d  # h^x * h^(n-x) closes to d * o
+            if f not in a.opoints and f not in b.opoints:
+                scale *= params.d  # an h^n, raw or h^x * h^(n-x), closes to d * o
             opoints.append(f)
         else:
             hpows.append((f, s))

@@ -17,8 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import (ModelParams, ResourceLimitError, TautClass, _sum, h_class, multiply, o_class,
-                      tau_class, unit_class)
+from .algebra import ModelParams, ResourceLimitError, TautClass, TautMonomial, _mul_monomials, _sum
 
 
 class ParseError(ValueError):
@@ -93,14 +92,14 @@ def parse_class(
 ) -> TautClass:
     """Parse a class expression.
 
-    Each term is its coefficient times the generator class of each atom,
-    multiplied in order, so arbitrary products are rewritten to normal
-    form: 'h1^2' at n=2 becomes '8*o1'.  The terms are summed into one
-    map and the class is built once, so reading is linear in the number
-    of terms.  With normalize=False the input must already be in normal
-    form: before an atom is multiplied, its h exponent must be below n
-    and it may claim no factor an earlier atom of its term has claimed.
-    On such input the product is the monomial as written.
+    Each term is one class: its coefficient times its atoms' monomials,
+    multiplied in order by the product rule, so arbitrary products are
+    rewritten to normal form ('h1^2' at n=2 becomes '8*o1').  The terms
+    are summed into one map, so reading is linear in the number of terms.
+    With normalize=False the input must already be in normal form: before
+    an atom is multiplied, its h exponent must be below n and it may claim
+    no factor an earlier atom of its term has claimed.  On such input the
+    product is the monomial as written.
     """
     terms = _terms(text)
     if m is None:  # the largest factor index (of a tau, its second)
@@ -115,8 +114,8 @@ def parse_class(
 
 
 def _term(coeff: Fraction, atoms: list[tuple], m: int, params: ModelParams, normalize: bool) -> TautClass:
-    """One term's coefficient times the generator class of each atom, in order."""
-    value, used = unit_class(m).scale(coeff), set()
+    """One term as one class: its coefficient times its atoms' monomials, in order, by the product rule."""
+    mono, used = TautMonomial(m), set()
     for kind, i, j, pos in atoms:
         if not normalize:
             if kind == "h" and j >= params.n:
@@ -125,10 +124,14 @@ def _term(coeff: Fraction, atoms: list[tuple], m: int, params: ModelParams, norm
                 if f in used:
                     raise ParseError(f"factor {f} used more than once in a monomial", pos)
                 used.add(f)
-        factor = (tau_class(m, i, j) if kind == "t" else h_class(params, m, i, j) if kind == "h"
-                  else o_class(m, i) if kind == "o" else unit_class(m))
-        value = multiply(value, factor, params)
-    return value
+        # the factors are in range and a tau's are sorted: the atom's fields are canonical as read
+        atom = (m, ((i, j),) if kind == "t" else (), ((i, j),) if kind == "h" else (), (i,) if kind == "o" else ())
+        product = _mul_monomials(mono, tuple.__new__(TautMonomial, atom), params)
+        if product is None:  # never on a strict term, so no strict check is skipped
+            return TautClass(m)
+        scale, mono = product
+        coeff *= scale
+    return TautClass(m, {mono: coeff})
 
 
 def _factors(kind: str, i: int, j: int) -> tuple[int, ...]:

@@ -43,12 +43,17 @@ paths of the tau graph in one walk and its cycles in a second, and
 builds the product through the validating constructor, where the
 library walks once and builds the canonical fields directly.
 `parse_class_term_by_term` adds each term of a class text to a running
-total and builds a strict term's monomial by hand, where the library
-sums all terms into one map and checks a strict term on the one path
-that multiplies generator classes.
+total, multiplies the generator classes of a term's atoms and builds a
+strict term's monomial by hand, where the library sums all terms into
+one map and multiplies a term's atom monomials by the product rule,
+strict or not.
 `canonical_str_by_tagged_locals` sorts each local as a (factor, kind,
 exponent) tuple and formats it by kind, where the library sorts
 (factor, atom text) pairs; both keep the tau atoms first.
+`cohomology_class` maps a class into an explicit model of H*(Y^m) at an
+integer loop value, where `cohomology_cup` multiplies factor by factor:
+the ring map, the pairing and the Gram rank are checked against it, and
+it shares no rewriting rule with the library's product.
 """
 
 from __future__ import annotations
@@ -880,3 +885,82 @@ def canonical_str_by_tagged_locals(mono: TautMonomial) -> str:
         else:
             atoms.append(f"h{f}" if e == 1 else f"h{f}^{e}")
     return "*".join(atoms) if atoms else "1"
+
+
+# The cohomology model: H*(Y) = <1, h, ..., h^(n-1), o> + <e_1, ..., e_N> at an
+# integer loop value N = delta >= 0, with h^n = d*o, h*e_a = 0, e_a*e_b = [a = b]*o
+# and the integral of o equal to 1.  A local label k < n is h^k (0 the unit),
+# n is o, and n + a is e_a; a class on Y^m maps tuples of m labels to coefficients.
+
+
+def _local_cup(u: int, v: int, n: int, d: int) -> tuple[int, int] | None:
+    """The cup product of two local labels as (coefficient, label); None for zero."""
+    if u > v:
+        u, v = v, u
+    if u == 0:
+        return 1, v
+    if v < n:  # h^u * h^v
+        return (1, u + v) if u + v < n else (d, n) if u + v == n else None
+    if u > n:  # e_a * e_b, both primitive
+        return (1, n) if u == v else None
+    return None  # h or o against o or a primitive class
+
+
+def cohomology_cup(x: dict, y: dict, params: ModelParams) -> dict:
+    """The cup product on H*(Y^m), factor by factor."""
+    out: dict = {}
+    for kx, cx in x.items():
+        for ky, cy in y.items():
+            coeff, key = cx * cy, []
+            for u, v in zip(kx, ky):
+                local = _local_cup(u, v, params.n, params.d)
+                if local is None:
+                    break
+                coeff *= local[0]
+                key.append(local[1])
+            else:
+                key = tuple(key)
+                out[key] = out.get(key, 0) + coeff
+    return {key: c for key, c in out.items() if c}
+
+
+def cohomology_class(x: TautClass, params: ModelParams) -> dict:
+    """cl(x) in the model: h_i and o_i go to the local classes on factor i,
+    tau_ij to the sum of e_a on i times e_a on j, and every generator of a
+    monomial, each h factor of a power too, is cupped on in turn."""
+    n, N, m = params.n, params.delta, x.m
+    if N.denominator != 1 or N < 0:
+        raise ValueError(f"the model needs an integer delta >= 0, not {N}")
+
+    def placed(labels: dict) -> tuple:
+        return tuple(labels.get(f, 0) for f in range(1, m + 1))
+
+    out: dict = {}
+    for mono, coeff in x.terms.items():
+        value = {placed({}): coeff}
+        for i, j in mono.pairs:
+            tau = {placed({i: n + a, j: n + a}): 1 for a in range(1, int(N) + 1)}
+            value = cohomology_cup(value, tau, params)
+        for f, e in mono.hpows:
+            for _ in range(e):
+                value = cohomology_cup(value, {placed({f: 1}): 1}, params)
+        for f in mono.opoints:
+            value = cohomology_cup(value, {placed({f: n}): 1}, params)
+        for key, c in value.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def cohomology_integral(x: dict, m: int, params: ModelParams) -> Fraction:
+    """The integral over Y^m: the coefficient of o on every factor."""
+    return Fraction(x.get((params.n,) * m, 0))
+
+
+def cohomology_image_rank(params: ModelParams, m: int, codim: int) -> int:
+    """The rank of the image of the codimension-`codim` basis in H*(Y^m)."""
+    images = [cohomology_class(TautClass.from_monomial(mono), params)
+              for mono in enumerate_basis(params, m, codim)]
+    keys = sorted({key for image in images for key in image})
+    if not keys:
+        return 0
+    return rank(RationalMatrix([[image.get(key, 0) for key in keys] for image in images], cols=len(keys)))

@@ -269,3 +269,50 @@ def test_pushforward_refuses_a_kept_factor_that_is_not_an_int(kept):
     assert pushforward(o_class(2, 2), [1], P) == unit_class(1)
     with pytest.raises(ValueError, match="kept factor"):
         pushforward(o_class(2, 2), kept, P)
+
+
+def _raw(m: int, e: int, opoints: tuple[int, ...] = ()) -> TautClass:
+    """The raw power h_1^e, beside o on `opoints`, as one monomial: not normal form for e >= n."""
+    return TautClass.from_monomial(TautMonomial(m, hpows=((1, e),), opoints=opoints))
+
+
+def _closed(m: int, e: int, params: ModelParams, opoints: tuple[int, ...] = ()) -> TautClass:
+    """h_1^e = d*o_1 at e = n and 0 above, beside o on `opoints`."""
+    if e > params.n:
+        return TautClass.zero(m)
+    return TautClass.from_monomial(TautMonomial(m, opoints=(1, *opoints)), params.d)
+
+
+@pytest.mark.parametrize("e_over_n", [0, 1], ids=["e=n", "e=n+1"])
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("d", [2, 8])
+def test_a_raw_h_power_closes_to_d_times_o_in_every_product(n, d, e_over_n):
+    # the product read h^n = d*o only when both sides carried h on the factor:
+    # a lone raw h_1^2 paired with the unit to 1, not 8, at (2, 8, 3)
+    params = ModelParams(n, d, 3)
+    e = n + e_over_n
+    zero = TautClass.zero(2)
+    for left, right in ((_raw(2, e), unit_class(2)), (unit_class(2), _raw(2, e))):
+        assert multiply(left, right, params) == _closed(2, e, params)
+    for other in (o_class(2, 1), h_class(params, 2, 1), tau_class(2, 1, 2)):  # zero on factor 1
+        assert multiply(_raw(2, e), other, params) == zero
+        assert multiply(other, _raw(2, e), params) == zero
+    assert multiply(_raw(2, e), o_class(2, 2), params) == _closed(2, e, params, (2,))
+    h2 = TautClass.from_monomial(TautMonomial(2, hpows=((2, n),)))  # a second raw power
+    assert multiply(_raw(2, e), h2, params) == _closed(2, e, params, (2,)).scale(d)
+
+    point = d if e == n else 0
+    assert pair(_raw(1, e), unit_class(1), params) == point
+    assert pair(unit_class(1), _raw(1, e), params) == point
+    assert pair(_raw(2, e), o_class(2, 2), params) == point
+    for other in (multiply(o_class(2, 1), o_class(2, 2), params),
+                  multiply(h_class(params, 2, 1, n - 1), o_class(2, 2), params), tau_class(2, 1, 2)):
+        assert pair(_raw(2, e), other, params) == 0
+
+    assert pushforward(_raw(1, e), (), params) == TautClass.from_monomial(TautMonomial(0), point)
+    assert pushforward(_raw(2, e, (2,)), (1,), params) == _closed(1, e, params)
+    assert pushforward(_raw(2, e), (2,), params) == TautClass.from_monomial(TautMonomial(1), point)
+    ys = (unit_class(2), o_class(2, 2), o_class(2, 1), h_class(params, 2, 1), tau_class(2, 1, 2))
+    assert push_products(_raw(2, e), ys, (1,), params) == [
+        TautClass.zero(1), _closed(1, e, params), TautClass.zero(1), TautClass.zero(1), TautClass.zero(1)
+    ]

@@ -10,6 +10,7 @@ from tautring import (
     ParseError,
     TautClass,
     TautMonomial,
+    enumerate_basis,
     format_class,
     o_class,
     parse_class,
@@ -213,8 +214,28 @@ def test_one_pass_reader_matches_the_term_by_term_oracle(data):
         ("h3*h3^2", None, False),  # the exponent is checked before the factor is claimed
         ("0*h1*h1 + 1*2", None, False),
         ("1*h1 - h1*1 + 0*o2", None, True),
+        *((text, None, normalize) for text in ("h1^2", "h1^3", "t(1,2)*t(1,2)", "t(1,2)*t(2,3)", "o1*o1")
+          for normalize in (True, False)),
     ],
 )
 def test_one_pass_reader_matches_the_oracle_on_examples(text, m, normalize):
     expected = _read(parse_class_term_by_term, text, P, m, normalize)
     assert _read(parse_class, text, P, m, normalize) == expected
+
+
+def test_parse_builds_one_class_per_term(monkeypatch):
+    # each atom was a generator class multiplied into the term: 56,281 classes for 5,824 terms
+    x = TautClass(8, {mono: Fraction(k % 11 - 5 or 7, k % 4 + 1) for k, mono in enumerate(enumerate_basis(P, 8, 6))})
+    text = format_class(x, P)
+    count = [0]
+    init = TautClass.__init__
+
+    def counting_init(self, m, terms=None):
+        count[0] += 1
+        init(self, m, terms)
+
+    monkeypatch.setattr(TautClass, "__init__", counting_init)
+    for normalize in (True, False):
+        count[0] = 0
+        assert parse_class(text, P, normalize=normalize) == x
+        assert count[0] == len(x.terms) + 1 == 5825
