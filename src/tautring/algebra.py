@@ -202,13 +202,6 @@ class TautClass:
     def coefficient(self, mono: TautMonomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))
 
-    def sorted_terms(self, params: ModelParams) -> list[tuple[TautMonomial, Fraction]]:
-        """Terms in canonical order: by codimension, then canonical string."""
-        return sorted(
-            self._terms.items(),
-            key=lambda item: (monomial_codim(item[0], params), item[0].canonical_str()),
-        )
-
     def scale(self, coeff: Fraction | int) -> "TautClass":
         if coeff.__class__ is not Fraction:
             coeff = _exact(coeff)

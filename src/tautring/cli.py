@@ -50,13 +50,13 @@ FACTOR_CAP = 256
 _PROFILES = {"three-quadrics": {"d": 8}, "double-plane": {"n": 2, "d": 2}, "custom": {}}
 
 # Options as (flag, keywords): a flag without '-' is an operand; "type" int
-# reads the value through int(); the action "store_true" takes no value and
-# "negatable" adds --no-FLAG.  Every subcommand takes _COMMON first.
+# reads the value through int(); the action "store_true" takes no value.
+# Every subcommand takes _COMMON first.
 _COMMON = (
     ("--profile", {"choices": list(_PROFILES), "default": "custom"}),
     ("--n", {"type": int}),
     ("--d", {"type": int}),
-    ("--b", {"type": int}),
+    ("--b", {"type": int, "help": "middle Betti number; three-quadrics: n*n + 5*n + 8 if omitted"}),
     ("--delta", {"help": "loop value override, as p or p/q (test-only)"}),
     ("--format", {"choices": ["json", "csv", "text"], "default": "text"}),
     ("--no-timing", {"action": "store_true"}),
@@ -66,7 +66,7 @@ _OPERANDS = (
     ("x", {}),
     ("y", {}),
     ("--m", {"type": int}),
-    ("--normalize-input", {"action": "negatable", "default": True}),
+    ("--no-normalize-input", {"action": "store_true", "help": "operands must be in normal form"}),
 )
 _CAP_GRAM = ("--cap-gram", {"type": int, "default": DEFAULT_GRAM_CAP})
 _HELP = ("-h", "--help")
@@ -98,11 +98,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
         if flag[0] != "-":
             positionals.append(dest)
             continue
-        action = kwargs.get("action")
-        values[dest] = kwargs.get("default", False if action == "store_true" else None)
+        values[dest] = kwargs.get("default", False if "action" in kwargs else None)
         flags[flag] = dest, kwargs
-        if action == "negatable":
-            flags["--no-" + flag[2:]] = dest, kwargs
         if kwargs.get("required"):
             required[dest] = flag
     unknown: list[str] = []
@@ -123,11 +120,10 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
             continue
         dest, kwargs = flags[flag]
         required.pop(dest, None)
-        action = kwargs.get("action")
-        if action:
+        if "action" in kwargs:
             if eq:
                 raise UsageError(f"{flag} takes no value")
-            values[dest] = action == "store_true" or not flag.startswith("--no-")
+            values[dest] = True
             continue
         if not eq:
             value = next(tokens, None)
@@ -172,9 +168,7 @@ def _option_lines(options, indent: str) -> list[str]:
     for flag, kwargs in options:
         if flag[0] != "-":
             continue
-        if kwargs.get("action") == "negatable":
-            flag += f", --no-{flag[2:]}"
-        elif "action" not in kwargs:
+        if "action" not in kwargs:
             flag += " " + "|".join(kwargs.get("choices", ["INT" if kwargs.get("type") else "VALUE"]))
         note = "  (required)" if kwargs.get("required") else ""
         if kwargs.get("default") is not None:
@@ -192,7 +186,9 @@ def _resolve_params(args: SimpleNamespace) -> ModelParams:
     if n is None or d is None:
         needs = " and ".join(f"--{key}" for key in ("n", "d") if key not in fixed)
         raise UsageError(f"profile {args.profile} requires {needs}")
-    if b is None:
+    if b is None and args.profile == "three-quadrics":  # Y's middle Betti number
+        b = n * n + 5 * n + 8
+    elif b is None:
         raise UsageError("--b is required (no default Betti number is assumed)")
     try:
         return ModelParams(n, d, b, args.delta)
@@ -230,7 +226,7 @@ def _cmd_basis(args, params):
 def _parse_operands(args, params):
     """Both operands on a common number of factors, which becomes args.m
     (and so the m of the report's inputs)."""
-    x, y = (parse_class(text, params, m=args.m, normalize=args.normalize_input)
+    x, y = (parse_class(text, params, m=args.m, normalize=not args.no_normalize_input)
             for text in (args.x, args.y))
     args.m = m = max(x.m, y.m)
     _check_caps(params, m)

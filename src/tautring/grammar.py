@@ -17,7 +17,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import ModelParams, ResourceLimitError, TautClass, TautMonomial, _mul_monomials, _sum
+from .algebra import (ModelParams, ResourceLimitError, TautClass, TautMonomial, _mul_monomials, _sum,
+                      monomial_codim)
 
 
 class ParseError(ValueError):
@@ -99,8 +100,11 @@ def parse_class(
     With normalize=False the input must already be in normal form: before
     an atom is multiplied, its h exponent must be below n and it may claim
     no factor an earlier atom of its term has claimed.  On such input the
-    product is the monomial as written.
+    product is the monomial as written.  Text that is not a str is a
+    ValueError.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"class text must be a str, not {text.__class__.__name__}")
     terms = _terms(text)
     if m is None:  # the largest factor index (of a tau, its second)
         m = max([1] + [j if kind == "t" else i for _, atoms in terms for kind, i, j, _ in atoms])
@@ -154,7 +158,9 @@ def format_class(x: TautClass, params: ModelParams) -> str:
     if x.is_zero:
         return "0"
     parts: list[str] = []
-    for idx, (mono, coeff) in enumerate(x.sorted_terms(params)):
+    terms = sorted(x.terms.items(),
+                   key=lambda item: (monomial_codim(item[0], params), item[0].canonical_str()))
+    for idx, (mono, coeff) in enumerate(terms):
         sign = (" - " if coeff < 0 else " + ") if idx else ("-" if coeff < 0 else "")
         body, scalar = mono.canonical_str(), format_fraction(abs(coeff))
         if body == "1":
@@ -162,6 +168,3 @@ def format_class(x: TautClass, params: ModelParams) -> str:
         else:
             parts.append(sign + body if scalar == "1" else f"{sign}{scalar}*{body}")
     return "".join(parts)
-
-
-__all__ = ["ParseError", "parse_class", "format_class", "format_fraction"]

@@ -240,8 +240,6 @@ def argparse_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for flag, kwargs in _COMMON + command.options:
-            if kwargs.get("action") == "negatable":
-                kwargs = dict(kwargs, action=argparse.BooleanOptionalAction)
             p.add_argument(flag, **kwargs)
     return parser
 

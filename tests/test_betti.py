@@ -12,9 +12,13 @@ dimension n and degree 8.  Its middle Betti number is b(n) = n^2 + 5n + 8
   b_2 = e^2 - 3e + 4.
 
 The verifiers then run at (n, b(n)), and `euler_char` gives chi(Y): a
-third route.
+third route.  `--profile three-quadrics` reads b(n) from n when `--b` is
+omitted, and `euler` there reports chi(Y).
 """
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
 import pytest
@@ -29,6 +33,7 @@ from tautring import (
     verify_ck,
     verify_mck,
 )
+from tautring.cli import main
 
 EVEN_N = range(2, 21, 2)
 
@@ -76,3 +81,31 @@ def test_verifiers_pass_at_the_real_betti_number(params):
     for factor in (1, 2):
         assert class_codim(expand_diagonal_times_h(params, factor), params) == params.n + 1
     assert solve_gamma3(params).residual.is_zero
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("n", EVEN_N)
+def test_euler_without_b_is_the_euler_number_of_y(n):
+    code, out, err = _cli(["euler", "--profile", "three-quadrics", "--n", str(n), "--format", "json",
+                           "--no-timing"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["params"]["b"] == n * n + 5 * n + 8
+    chi = str(euler_by_hirzebruch(n))
+    assert report["results"] == {"value": chi, "expected": chi, "match": True}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("command", ["verify-ck", "verify-mck", "lemma-ok", "gamma3", "euler"])
+def test_an_omitted_b_is_the_betti_number_of_y(command, n, fmt):
+    argv = [command, "--profile", "three-quadrics", "--n", str(n), "--format", fmt, "--no-timing"]
+    omitted = _cli(argv)
+    assert omitted[0] == 0
+    assert omitted == _cli(argv + ["--b", str(n * n + 5 * n + 8)])

@@ -364,6 +364,7 @@ PARSE_CASES = (
         ["gram", "--m", "2"] + SMALL,
         ["mul", "t(1,2)"] + SMALL,
         ["mul", "t(1,2)", "1", "1"] + SMALL,
+        ["mul", "h1", "h2", "--normalize-input"] + SMALL,  # the default has no flag of its own
         ["pair"] + SMALL,
         ["scan"] + SMALL,
         ["scan", "--m", "2", "--no-timing"] + SMALL,  # an abbreviation of --m-max
@@ -407,9 +408,7 @@ def _read_otherwise(argv):
     before Python 3.13)."""
     if not argv or argv[0] not in cli.COMMANDS:
         return False
-    flags = {"-h", "--help"}
-    for flag, kwargs in cli._COMMON + cli.COMMANDS[argv[0]].options:
-        flags |= {flag, "--no-" + flag[2:]} if kwargs.get("action") == "negatable" else {flag}
+    flags = {"-h", "--help"} | {flag for flag, _ in cli._COMMON + cli.COMMANDS[argv[0]].options}
     for token in argv[1:]:
         if token == "--":
             return False
@@ -464,6 +463,9 @@ def test_help_page_names_every_command_option_and_choice(capsys):
     code, page, err = run_cli(capsys, ["scan", "-h"])
     assert (code, err) == (0, "")
     assert "--m-max" in page and "--profile" in page and "--cap-b" not in page
+    code, page, err = run_cli(capsys, ["mul", "-h"])
+    assert (code, err) == (0, "") and page.count("--no-normalize-input") == 1
+    assert "      --no-normalize-input  operands must be in normal form\n" in page
 
 
 def test_help_and_usage_errors_load_no_argparse():
@@ -493,8 +495,10 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "fixes d = 8" in err
     code, _, err = run_cli(capsys, ["euler", "--profile", "double-plane", "--n", "4", "--b", "2"])
     assert code == 2 and "fixes n = 2" in err
-    code, _, err = run_cli(capsys, ["euler", "--n", "2", "--d", "8"])
-    assert code == 2 and "--b" in err
+    # three-quadrics reads b from n; the double plane's b_2 needs a branch degree it is not given
+    for profile in (["--n", "2", "--d", "8"], ["--profile", "double-plane"]):
+        code, _, err = run_cli(capsys, ["euler", *profile])
+        assert (code, err) == (2, "error: --b is required (no default Betti number is assumed)\n")
     code, _, _ = run_cli(capsys, ["euler", "--bogus-flag"])
     assert code == 2
     code, _, _ = run_cli(capsys, ["no-such-command"])

@@ -76,6 +76,15 @@ def test_parse_syntax_error_reports_position():
     assert err.value.position == 5
 
 
+@pytest.mark.parametrize("text", [None, b"h1", 7], ids=["None", "bytes", "int"])
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "strict"])
+def test_parse_refuses_text_that_is_not_a_str(text, normalize):
+    # as every library input check, a ValueError that names the type
+    with pytest.raises(ValueError) as err:
+        parse_class(text, P, normalize=normalize)
+    assert str(err.value) == f"class text must be a str, not {type(text).__name__}"
+
+
 def test_a_digit_that_is_not_decimal_is_a_positioned_parse_error():
     # str.isdigit accepts '²', int() does not: the scanner raised a bare ValueError
     with pytest.raises(ParseError) as err:
