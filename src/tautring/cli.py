@@ -196,16 +196,6 @@ def _resolve_params(args: SimpleNamespace) -> ModelParams:
         raise UsageError(f"--delta {args.delta} has a zero denominator") from None
 
 
-def _values(record):
-    """A library record as report values: a namedtuple as a dict of its
-    fields, a tuple as a list, a Fraction as its text."""
-    if isinstance(record, tuple):
-        if hasattr(record, "_fields"):
-            return {key: _values(value) for key, value in zip(record._fields, record)}
-        return [_values(value) for value in record]
-    return format_fraction(record) if isinstance(record, Fraction) else record
-
-
 def _check_caps(params, m, codim=None):
     """Refuse more than FACTOR_CAP factors, or a basis over BASIS_CAP
     monomials, before any work; inputs out of range are left to the
@@ -274,14 +264,12 @@ def _cmd_lemma_ok(args, params):
 
 def _cmd_gamma3(args, params):
     solution = solve_gamma3(params)
-    symmetric = all(
-        solution.coefficients.get(perm) == value
-        for (i, j, k), value in solution.coefficients.items()
-        for perm in ((i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i))
-    )
+    coefficients = solution.coefficients
+    # each S3 orbit of keys holds one sorted triple, the one its members must agree with
+    symmetric = all(coefficients.get(tuple(sorted(key))) == value for key, value in coefficients.items())
     return {
         "coefficients": {
-            f"{i},{j},{k}": format_fraction(v) for (i, j, k), v in sorted(solution.coefficients.items())
+            f"{i},{j},{k}": format_fraction(v) for (i, j, k), v in sorted(coefficients.items())
         },
         "residual": format_class(solution.residual, params),
         "residual_zero": solution.residual.is_zero,
@@ -302,7 +290,7 @@ def _cmd_euler(args, params):
 Command = namedtuple("Command", "help options run columns records checks", defaults=(None, ()))
 
 # name -> Command, in the order of --help.  A command that reports a library
-# record runs _values on it.
+# record returns its fields as the results, the values left as they are.
 COMMANDS = {
     "basis": Command("enumerate a monomial basis", _M_CODIM, _cmd_basis, ("monomial",),
                      "monomials"),
@@ -310,10 +298,10 @@ COMMANDS = {
     "pair": Command("intersection pairing", _OPERANDS, _cmd_pair, ("value",)),
     "gram": Command("Gram matrix rank and kernel", _M_CODIM, _cmd_gram,
                     ("basis_size", "dual_size", "rank", "deficiency")),
-    "verify-ck": Command("projector axioms", (), lambda a, p: _values(verify_ck(ck_projectors(p))),
+    "verify-ck": Command("projector axioms", (), lambda a, p: verify_ck(ck_projectors(p))._asdict(),
                          ("name", "ok", "detail"), "checks", ("passed",)),
     "verify-mck": Command("multiplicativity of the projectors", (),
-                          lambda a, p: _values(verify_mck(p)),
+                          lambda a, p: verify_mck(p)._asdict(),
                           ("i", "j", "k", "required_zero", "zero", "ok"), "cases", ("passed",)),
     "lemma-ok": Command("diagonal-times-h expansion", (), _cmd_lemma_ok, ("factor", "equal"),
                         "checks", ("passed",)),
@@ -324,12 +312,12 @@ COMMANDS = {
                      ("value", "expected", "match"), checks=("match",)),
     "kimura": Command("alternating relation vanishing",
                       (("--cap-b", {"type": int, "default": DEFAULT_B_CAP}), _CAP_GRAM),
-                      lambda a, p: _values(verify_kimura_vanishing(p, a.cap_b, a.cap_gram)),
+                      lambda a, p: verify_kimura_vanishing(p, a.cap_b, a.cap_gram)._asdict(),
                       ("b", "delta", "vanishing", "crosscheck_ok", "dual_count"),
                       checks=("vanishing", "crosscheck_ok")),
     "scan": Command("injectivity scan of Gram deficiencies",
                     (("--m-max", {"type": int, "required": True}), _CAP_GRAM),
-                    lambda a, p: {"rows": _values(scan_injectivity(p, a.m_max, a.cap_gram))},
+                    lambda a, p: {"rows": scan_injectivity(p, a.m_max, a.cap_gram)},
                     ("m", "codim", "basis_size", "rank", "deficiency"), "rows"),
 }
 
@@ -354,8 +342,9 @@ def _report_dict(args, shown_params, results, status, timing_ms):
 
 
 def _table(report: dict) -> tuple[tuple[str, ...], list[list]]:
-    """The columns and rows of a text or CSV report: a row per record, read
-    by column (a bare value is the one cell).  The records are the list
+    """The columns and rows of a text or CSV report: a row per record, its
+    columns read as attributes of a library record and as keys of a dict
+    (a bare value is the one cell).  The records are the list
     results[records]; with records None, the results themselves unless the
     run stopped at a cap.  gamma3's "i,j,k" -> coefficient map is split
     into cells and sorted by its string keys."""
@@ -368,7 +357,8 @@ def _table(report: dict) -> tuple[tuple[str, ...], list[list]]:
         records = results.get(records, [])
     if isinstance(records, dict):
         return columns, [key.split(",") + [value] for key, value in sorted(records.items())]
-    return columns, [[r[c] for c in columns] if isinstance(r, dict) else [r] for r in records]
+    return columns, [[getattr(r, c) for c in columns] if isinstance(r, tuple)
+                     else [r[c] for c in columns] if isinstance(r, dict) else [r] for r in records]
 
 
 def _render_text(report: dict) -> str:
@@ -398,42 +388,43 @@ def _render_csv(report: dict) -> str:
     return out.getvalue()
 
 
-# How json.dumps writes each scalar type a report holds (the float is timing_ms).
+# How json.dumps writes each scalar type a report holds (the float is timing_ms),
+# and a Fraction as its quoted text.
 _SCALARS = {
     str: _quote,
     int: int.__repr__,
     float: float.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
+    Fraction: lambda q: _quote(format_fraction(q)),
 }
 
 
 def _to_json(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2) for a report: dicts with str keys,
-    lists, and the scalar types of _SCALARS.  A scalar member is encoded
-    in the loop over its container, not by a call of its own."""
+    """json.dumps(value, indent=2) for a report: dicts with str keys and
+    namedtuples as objects (a namedtuple's fields in order), lists and
+    other tuples as arrays, and the scalar types of _SCALARS.  A scalar
+    member is encoded in the loop over its container, not by a call of
+    its own."""
     scalar = _SCALARS.get
     encode = scalar(value.__class__)
     if encode is not None:
         return encode(value)
     inner = indent + "  "
-    items = []
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        for key, item in value.items():
-            encode = scalar(item.__class__)
-            text = _to_json(item, inner) if encode is None else encode(item)
-            items.append(f"{_quote(key)}: {text}")
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        for item in value:
-            encode = scalar(item.__class__)
-            items.append(_to_json(item, inner) if encode is None else encode(item))
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    raise TypeError(f"{value.__class__.__name__} is not a report value")
+    if isinstance(value, dict) or hasattr(value, "_fields"):
+        pairs = value.items() if isinstance(value, dict) else zip(value._fields, value)
+        items = [_quote(key) + ": " + (_to_json(item, inner) if (encode := scalar(item.__class__)) is None
+                                       else encode(item)) for key, item in pairs]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_to_json(item, inner) if (encode := scalar(item.__class__)) is None else encode(item)
+                 for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{value.__class__.__name__} is not a report value")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 _RENDERERS = {"json": lambda report: _to_json(report) + "\n", "csv": _render_csv, "text": _render_text}
@@ -466,7 +457,8 @@ def _run(argv: list[str]) -> int:
             sys.stdout.write(args)
             return 0
         params = _resolve_params(args)
-        shown = _values(params)  # the report's params, formatted where a usage error is one line
+        # the report's params, formatted where a usage error is one line
+        shown = {**params._asdict(), "delta": format_fraction(params.delta)}
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -478,7 +470,7 @@ def _run(argv: list[str]) -> int:
     except ResourceLimitError as exc:
         status, results = "error", {"error": str(exc)}
         if exc.partial is not None:  # the rows a scan finished
-            results["rows"] = _values(exc.partial)
+            results["rows"] = exc.partial
     except (ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2  # 1: a mathematical check failed

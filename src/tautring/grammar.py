@@ -158,11 +158,12 @@ def format_class(x: TautClass, params: ModelParams) -> str:
     if x.is_zero:
         return "0"
     parts: list[str] = []
-    terms = sorted(x.terms.items(),
-                   key=lambda item: (monomial_codim(item[0], params), item[0].canonical_str()))
-    for idx, (mono, coeff) in enumerate(terms):
+    # each monomial's text made once, and sorted on after its codimension
+    terms = sorted((monomial_codim(mono, params), mono.canonical_str(), coeff)
+                   for mono, coeff in x.terms.items())
+    for idx, (_, body, coeff) in enumerate(terms):
         sign = (" - " if coeff < 0 else " + ") if idx else ("-" if coeff < 0 else "")
-        body, scalar = mono.canonical_str(), format_fraction(abs(coeff))
+        scalar = format_fraction(abs(coeff))
         if body == "1":
             parts.append(sign + scalar)
         else:

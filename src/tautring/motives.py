@@ -172,7 +172,7 @@ def verify_ck(ps: ProjectorSet) -> CkReport:
     orthogonal: list[CheckResult] = []
     for k1, row in zip(indices, _compositions(projectors, projectors, params)):
         for k2, product in zip(indices, row):
-            ok = product == (ps[k1].cls if k1 == k2 else TautClass.zero(2))
+            ok = product == ps[k1].cls if k1 == k2 else product.is_zero
             detail = "" if ok else f"pi^{k1} o pi^{k2} = {format_class(product, params)}"
             if k1 == k2:
                 idempotent.append(CheckResult(f"idempotent[{k1}]", ok, detail))

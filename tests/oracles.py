@@ -54,6 +54,10 @@ exponent) tuple and formats it by kind, where the library sorts
 integer loop value, where `cohomology_cup` multiplies factor by factor:
 the ring map, the pairing and the Gram rank are checked against it, and
 it shares no rewriting rule with the library's product.
+`report_values` copies a report tree into plain JSON values, a
+namedtuple as a dict of its fields, a tuple as a list and a `Fraction`
+as its text, where the library's JSON writer reads the records as they
+are, in one walk.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ from tautring import (
 )
 from tautring.algebra import _ONE, _matchings
 from tautring.calculus import _mono_pairing
-from tautring.grammar import _terms
+from tautring.grammar import _terms, format_fraction
 from tautring.kimura import (
     DEFAULT_B_CAP,
     DEFAULT_GRAM_CAP,
@@ -962,3 +966,16 @@ def cohomology_image_rank(params: ModelParams, m: int, codim: int) -> int:
     if not keys:
         return 0
     return rank(RationalMatrix([[image.get(key, 0) for key in keys] for image in images], cols=len(keys)))
+
+
+def report_values(value):
+    """A report tree as the values json.dumps writes: a namedtuple as a
+    dict of its fields, a tuple as a list, a Fraction as its text, and
+    dicts and lists walked."""
+    if isinstance(value, dict):
+        return {key: report_values(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        if hasattr(value, "_fields"):
+            return {key: report_values(item) for key, item in zip(value._fields, value)}
+        return [report_values(item) for item in value]
+    return format_fraction(value) if isinstance(value, Fraction) else value

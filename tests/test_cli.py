@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -215,13 +216,15 @@ def _factor_2_fails(expand_diagonal_times_h):
     return patched
 
 
-def _asymmetric(solve_gamma3):
-    def patched(params):
-        solution = solve_gamma3(params)
-        coefficients = dict(solution.coefficients)
-        coefficients[0, 2, 2] += 1
-        return solution._replace(coefficients=coefficients)
-    return patched
+def _asymmetric(key):
+    def patch(solve_gamma3):
+        def patched(params):
+            solution = solve_gamma3(params)
+            coefficients = dict(solution.coefficients)
+            coefficients[key] += 1
+            return solution._replace(coefficients=coefficients)
+        return patched
+    return patch
 
 
 # command, the library call it makes, a patch of that call that makes
@@ -231,13 +234,15 @@ FAIL_CASES = [
     ("verify-ck", "verify_ck", _first_check_fails, ("checks", 0), "idempotent[0],False,broken"),
     ("verify-mck", "verify_mck", _a_required_zero_fails, ("cases", 1), "0,0,2,True,False,False"),
     ("lemma-ok", "expand_diagonal_times_h", _factor_2_fails, ("checks", 1), "2,False"),
-    ("gamma3", "solve_gamma3", _asymmetric, None, "0,2,2,65/64"),
+    ("gamma3", "solve_gamma3", _asymmetric((0, 2, 2)), None, "0,2,2,65/64"),
+    # an unsorted key: its sorted key (0, 2, 2) is the one it must agree with
+    ("gamma3", "solve_gamma3", _asymmetric((2, 2, 0)), None, "2,2,0,65/64"),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("command, call, patch, record, row", FAIL_CASES,
-                         ids=[case[0] for case in FAIL_CASES])
+                         ids=["verify-ck", "verify-mck", "lemma-ok", "gamma3", "gamma3-unsorted-key"])
 def test_one_false_check_fails_the_command(capsys, monkeypatch, command, call, patch, record,
                                            row, fmt):
     monkeypatch.setattr(cli, call, patch(getattr(cli, call)))
@@ -299,7 +304,7 @@ def test_a_record_holds_exactly_the_results_of_its_report(capsys, command, call)
     results = json.loads(out)["results"]
     record = call(tautring.ModelParams(2, 8, 2))
     assert list(results) == list(record._fields)
-    assert cli._values(record) == results
+    assert json.loads(cli._to_json(record)) == oracles.report_values(record) == results
 
 
 def test_scan_returns_rows_whose_fields_are_the_report_columns():
@@ -672,6 +677,26 @@ REPORT_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_json_dumps(value):
     assert cli._to_json(value) == json.dumps(value, indent=2)
+
+
+Single = namedtuple("Single", "value")
+Pair = namedtuple("Pair", "left right")
+Empty = namedtuple("Empty", "")
+
+# Library records among report values: namedtuples, tuples and Fractions.
+RECORD_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | st.fractions(),
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple) | st.builds(Single, inner)
+                   | st.builds(Pair, inner, inner) | st.just(Empty())),
+    max_leaves=24,
+)
+
+
+@given(value=RECORD_TREES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_reads_records_as_their_report_values(value):
+    assert cli._to_json(value) == json.dumps(oracles.report_values(value), indent=2)
 
 
 def test_json_writer_refuses_what_json_cannot_write():

@@ -248,3 +248,16 @@ def test_parse_builds_one_class_per_term(monkeypatch):
         count[0] = 0
         assert parse_class(text, P, normalize=normalize) == x
         assert count[0] == len(x.terms) + 1 == 5825
+
+
+def test_format_class_makes_each_monomial_text_once(monkeypatch):
+    # one canonical_str call per term, for the sort and the body alike
+    x = TautClass(4, {mono: Fraction(k % 7 - 3 or 5, k % 3 + 1)
+                      for k, mono in enumerate(enumerate_basis(P, 4, 4))})
+    text = format_class(x, P)
+    calls = []
+    canonical_str = TautMonomial.canonical_str
+    monkeypatch.setattr(TautMonomial, "canonical_str",
+                        lambda mono: calls.append(mono) or canonical_str(mono))
+    assert format_class(x, P) == text
+    assert sorted(calls) == sorted(x.terms)
