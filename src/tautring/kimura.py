@@ -55,21 +55,17 @@ def kimura_element(params: ModelParams, cap_b: int = DEFAULT_B_CAP) -> TautClass
     return TautClass(m, terms)
 
 
-def falling_factorial_pairing(b: int, delta: Fraction | int, cap_b: int = DEFAULT_B_CAP) -> Fraction:
-    """Brute-force sum over the symmetric group of sign(sigma) * delta^cycles(sigma).
-
-    This is the pairing of the alternating element against a fixed block
-    matching, and it equals delta * (delta - 1) * ... * (delta - b + 1).
+def falling_factorial_pairing(b: int, delta: Fraction | int) -> Fraction:
+    """The pairing of the alternating element on 2b factors against a fixed
+    block matching: the sum over the symmetric group of
+    sign(sigma) * delta^cycles(sigma), which is the column-shape eigenvalue
+    delta * (delta - 1) * ... * (delta - b + 1) of the matching Gram matrix.
     """
     if b.__class__ is not int or b < 0:
         raise ValueError(f"b {b!r} must be an integer >= 0")
-    _check_cap(b, cap_b, f"b={b} exceeds the cap {cap_b} ({b}! permutations)")
     if delta.__class__ is not Fraction:
         delta = _exact(delta)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(1, b + 1)):
-        total += _sign(perm) * delta ** _cycle_count(perm)
-    return total
+    return Fraction(_matching_eigenvalue((1,) * b, delta))
 
 
 KimuraReport = namedtuple("KimuraReport", "b delta vanishing crosscheck_ok dual_count")
@@ -83,7 +79,8 @@ def verify_kimura_vanishing(
     """Radical membership of the alternating element K at the loop value,
     decided by one pairing v of K with the identity crossing matching
     t(1,b+1)...t(b,2b): `vanishing` is v == 0, and `crosscheck_ok` compares
-    v with the falling factorial from independent permutation enumeration.
+    v with the falling factorial in closed form, the column-shape
+    eigenvalue that `scan` reads too.
 
     One pairing decides it, by this sign rule:
 
@@ -110,7 +107,7 @@ def verify_kimura_vanishing(
         b=b,
         delta=params.delta,
         vanishing=value == 0,
-        crosscheck_ok=value == falling_factorial_pairing(b, params.delta, cap_b),
+        crosscheck_ok=value == falling_factorial_pairing(b, params.delta),
         dual_count=dual_count,
     )
 

@@ -20,11 +20,11 @@ Vector = tuple[Fraction, ...]
 
 def _exact(x: Fraction | int | str) -> Fraction:
     """x as a Fraction, refusing a float: it would enter as its binary
-    expansion (0.1 as 3602879701896397/36028797018963968).  A string must
-    be p or p/q in integers: Fraction would also read 1.5, or 1e30000000
-    by building 10**30000000."""
-    if isinstance(x, float):
-        raise ValueError(f"{x!r} is a float; pass an int, a Fraction or a 'p/q' string")
+    expansion (0.1 as 3602879701896397/36028797018963968), and a bool,
+    which is no number.  A string must be p or p/q in integers: Fraction
+    would also read 1.5, or 1e30000000 by building 10**30000000."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"{x!r} is a {x.__class__.__name__}; pass an int, a Fraction or a 'p/q' string")
     if isinstance(x, str) and not re.fullmatch(r"[+-]?\d+(/\d+)?", x):
         raise ValueError(f"Invalid literal for Fraction: {x!r}")
     return Fraction(x)

@@ -587,7 +587,7 @@ def verify_kimura_vanishing(
             f"dual basis has {dual_count} monomials, over the Gram cap {cap_gram}"
         )
     vanishing = is_zero_in_cohomology(element, params)
-    expected = falling_factorial_pairing(b, params.delta, cap_b)
+    expected = falling_factorial_pairing(b, params.delta)
     crosscheck_ok = True
     for rho in itertools.permutations(range(1, b + 1)):
         mono = TautMonomial(m, tuple((i, b + rho[i - 1]) for i in range(1, b + 1)))

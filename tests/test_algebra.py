@@ -46,6 +46,8 @@ def test_params_reject_float_delta():
         ModelParams(n=2, d=8, b=3, delta=0.1)
     with pytest.raises(ValueError, match="float"):
         ModelParams(n=2, d=8, b=3, delta=0.5)  # exact in binary, still refused
+    with pytest.raises(ValueError, match="True is a bool"):
+        ModelParams(2, 8, 3, True)  # not the loop value 1
     assert ModelParams(2, 8, 3, delta=1).delta == Fraction(1)
     assert ModelParams(2, 8, 3, delta="1/2").delta == Fraction(1, 2)
     assert ModelParams(2, 8, 3, delta=Fraction(1, 2)).delta == Fraction(1, 2)
@@ -60,14 +62,17 @@ def test_params_read_a_string_delta_only_as_p_or_p_over_q(delta):
     assert ModelParams(2, 8, 3, "+4").delta == 4
 
 
-@pytest.mark.parametrize("build", [
-    lambda: TautClass(1, {TautMonomial(1, opoints=(1,)): 0.1}),
-    lambda: TautClass.from_monomial(TautMonomial(1), 0.1),
-    lambda: unit_class(1).scale(0.5),
-], ids=["TautClass", "from_monomial", "scale"])
-def test_class_coefficients_refuse_floats(build):
-    # 0.1 would enter as 3602879701896397/36028797018963968
-    with pytest.raises(ValueError, match="float"):
+@pytest.mark.parametrize("build, kind", [
+    (lambda: TautClass(1, {TautMonomial(1, opoints=(1,)): 0.1}), "float"),
+    (lambda: TautClass.from_monomial(TautMonomial(1), 0.1), "float"),
+    (lambda: unit_class(1).scale(0.5), "float"),
+    (lambda: TautClass(1, {TautMonomial(1, opoints=(1,)): True}), "bool"),
+    (lambda: TautClass.from_monomial(TautMonomial(1), True), "bool"),
+    (lambda: unit_class(1).scale(False), "bool"),
+], ids=["TautClass", "from_monomial", "scale", "TautClass-bool", "from_monomial-bool", "scale-bool"])
+def test_class_coefficients_refuse_floats(build, kind):
+    # 0.1 would enter as 3602879701896397/36028797018963968, and True as 1
+    with pytest.raises(ValueError, match=f"is a {kind};"):
         build()
 
 

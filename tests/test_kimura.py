@@ -85,6 +85,8 @@ def test_falling_factorial_examples():
 def test_falling_factorial_refuses_a_float_loop_value():
     with pytest.raises(ValueError, match="float"):
         falling_factorial_pairing(3, 2.0)
+    with pytest.raises(ValueError, match="True is a bool"):
+        falling_factorial_pairing(3, True)  # not the loop value 1, where it is 0
 
 
 @pytest.mark.parametrize("b", [2.5, -1, True], ids=["float", "negative", "bool"])
@@ -95,7 +97,7 @@ def test_falling_factorial_refuses_a_size_that_is_not_a_count(b):
 
 def test_falling_factorial_matches_closed_form_and_independent_sum():
     deltas = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(7, 2)]
-    for b in range(1, 7):
+    for b in range(1, 8):
         for delta in deltas:
             value = falling_factorial_pairing(b, delta)
             closed = Fraction(1)
@@ -106,6 +108,14 @@ def test_falling_factorial_matches_closed_form_and_independent_sum():
             for perm in itertools.permutations(range(1, b + 1)):
                 independent += _inversion_sign(perm) * delta ** _cycles_of(perm)
             assert value == independent
+
+
+@pytest.mark.parametrize("b", [8, 9, 22])
+@pytest.mark.parametrize("delta", [None, Fraction(7, 2), Fraction(-7, 3)], ids=["b-1", "7/2", "-7/3"])
+def test_falling_factorial_is_its_closed_form_past_the_element_cap(b, delta):
+    # no b! route: kimura_element's cap is 7, and 22! permutations would never finish
+    delta = b - 1 if delta is None else delta
+    assert falling_factorial_pairing(b, delta) == prod(delta - i for i in range(b))
 
 
 def test_falling_factorial_vanishes_at_loop_value():
@@ -177,8 +187,8 @@ def test_vanishing_respects_gram_cap():
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Every step past the caps fails: the b! terms, the permutation sums,
-    the pairing and the ranks."""
+    """Every step past the caps fails: the b! terms, the pairing and the
+    ranks."""
     def refuse(*args, **kwargs):
         raise AssertionError("work began before the caps were read")
 
@@ -189,7 +199,6 @@ def no_work(monkeypatch):
 LIBRARY_CAPS = {
     "scan cap_gram": lambda cap: scan_injectivity(P3, 2, cap_gram=cap),
     "kimura_element cap_b": lambda cap: kimura_element(P3, cap_b=cap),
-    "falling_factorial_pairing cap_b": lambda cap: falling_factorial_pairing(3, 2, cap_b=cap),
     "verify cap_b": lambda cap: verify_kimura_vanishing(P3, cap_b=cap),
     "verify cap_gram": lambda cap: verify_kimura_vanishing(P3, cap_gram=cap),
 }
@@ -310,7 +319,7 @@ def test_partitions_into_at_most_so_many_parts():
 def test_column_shape_eigenvalue_is_the_falling_factorial():
     for b in range(1, 6):
         for delta in RANK_DELTAS:
-            assert _matching_eigenvalue((1,) * b, delta) == falling_factorial_pairing(b, delta)
+            assert _matching_eigenvalue((1,) * b, delta) == prod(delta - i for i in range(b))
 
 
 def test_matching_rank_counts_involutions_by_longest_increasing_subsequence():

@@ -220,10 +220,12 @@ def test_solve_matches_sympy():
     check()
 
 
-@pytest.mark.parametrize("build", [
-    lambda: RationalMatrix([[1, 0.5]]),
-    lambda: solve_linear(RationalMatrix([[1]]), [0.1]),
-], ids=["RationalMatrix", "solve_linear"])
-def test_matrix_entries_and_rhs_refuse_floats(build):
-    with pytest.raises(ValueError, match="float"):
+@pytest.mark.parametrize("build, kind", [
+    (lambda: RationalMatrix([[1, 0.5]]), "float"),
+    (lambda: solve_linear(RationalMatrix([[1]]), [0.1]), "float"),
+    (lambda: RationalMatrix([[1, True]]), "bool"),
+    (lambda: solve_linear(RationalMatrix([[1]]), [False]), "bool"),
+], ids=["RationalMatrix", "solve_linear", "RationalMatrix-bool", "solve_linear-bool"])
+def test_matrix_entries_and_rhs_refuse_floats(build, kind):
+    with pytest.raises(ValueError, match=f"is a {kind};"):
         build()

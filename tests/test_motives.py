@@ -42,6 +42,12 @@ DP = ModelParams(2, 2, 44)
 P4 = ModelParams(4, 8, 5)
 
 
+def _y(n, delta=None):
+    """Y, an intersection of three quadrics of dimension n (d = 8), at its
+    own middle Betti number b(n) = n^2 + 5n + 8: 22 only at n = 2."""
+    return ModelParams(n, 8, n * n + 5 * n + 8, delta)
+
+
 def _corr(cls, s=1, t=1):
     return Correspondence(cls, s, t)
 
@@ -65,7 +71,7 @@ def _terms_built(monkeypatch, n):
         init(self, m, terms)
         built[0] += len(self._terms)
 
-    params = ModelParams(n, 8, 22)
+    params = _y(n)
     with monkeypatch.context() as patch:
         patch.setattr(TautClass, "__init__", counting_init)
         diagonal_class(params)
@@ -161,7 +167,7 @@ def test_projector_set_refuses_what_is_not_a_map_to_correspondences(projectors, 
         ProjectorSet(P, projectors)
 
 
-DIAGONAL_PROFILES = [ModelParams(n, 8, 22) for n in (2, 4, 6, 12, 30)] + [DP] + [
+DIAGONAL_PROFILES = [_y(n) for n in (2, 4, 6, 12, 30)] + [DP] + [
     ModelParams(4, 8, 5, delta) for delta in (4, Fraction(1, 2), 0)
 ]
 
@@ -265,7 +271,9 @@ def _projector_sets(params):
 
 @pytest.mark.parametrize("delta", [None, 0, Fraction(1, 2)], ids=["b-1", "0", "1/2"])
 @pytest.mark.parametrize(
-    "n, d, b", [(n, 8, 22) for n in (2, 4, 6, 12)] + [(2, 2, 44)], ids=["n2", "n4", "n6", "n12", "dp"]
+    "n, d, b",
+    [(n, 8, _y(n).b) for n in (2, 4, 6, 12)] + [(2, 2, 44)],
+    ids=["n2", "n4", "n6", "n12", "dp"],
 )
 def test_verify_ck_matches_the_pair_by_pair_oracle(n, d, b, delta):
     sets = _projector_sets(ModelParams(n, d, b, delta))
@@ -289,7 +297,7 @@ def _count_products(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 12])
 def test_verify_ck_forms_the_products_with_one_projector_in_one_batch(monkeypatch, n):
-    ps = ck_projectors(ModelParams(n, 8, 22))
+    ps = ck_projectors(_y(n))
     calls = _count_products(monkeypatch)
     assert verify_ck(ps).passed
     assert calls.count("push_products") == n + 1  # not one per pair, (n + 1)^2
@@ -297,7 +305,7 @@ def test_verify_ck_forms_the_products_with_one_projector_in_one_batch(monkeypatc
 
 @pytest.mark.parametrize("n", [2, 12])
 def test_verify_mck_forms_the_products_with_one_operand_in_one_batch(monkeypatch, n):
-    params = ModelParams(n, 8, 22)
+    params = _y(n)
     calls = _count_products(monkeypatch)
     assert verify_mck(params).passed
     # one batch for the small diagonal, then one per pi^k, not one per (i, j)
@@ -314,7 +322,7 @@ def test_compose_forms_its_products_in_one_batch(monkeypatch):
 @pytest.mark.parametrize("n", [12, 24])
 def test_solve_gamma3_reads_the_coefficients_off_the_gap(monkeypatch, n):
     calls = _count_products(monkeypatch)
-    assert solve_gamma3(ModelParams(n, 8, 22)).residual.is_zero
+    assert solve_gamma3(_y(n)).residual.is_zero
     # only the three diagonal-times-point terms: the diagonal and the small
     # diagonal are written term by term, and no h-monomial is multiplied out
     assert calls == ["multiply"] * 3
@@ -323,7 +331,7 @@ def test_solve_gamma3_reads_the_coefficients_off_the_gap(monkeypatch, n):
 @pytest.mark.parametrize("build", [small_diagonal, diagonal_class, ck_projectors])
 def test_diagonals_and_projectors_are_written_without_a_product(monkeypatch, build):
     calls = _count_products(monkeypatch)
-    build(ModelParams(12, 8, 22))
+    build(_y(12))
     assert calls == []
 
 
@@ -347,13 +355,13 @@ def test_small_diagonal_is_symmetric():
     "params",
     [
         ModelParams(2, 8, 3),
-        ModelParams(4, 8, 22),
+        ModelParams(4, 8, 22),  # a b other than b(4) = 44, as an override
         ModelParams(6, 5, 2, Fraction(1, 2)),
         ModelParams(2, 2, 22),
         ModelParams(8, 4, 9, -3),
         ModelParams(2, 7, 3, 0),
         ModelParams(4, 1, 5),
-        ModelParams(24, 8, 22),
+        ModelParams(24, 8, 22),  # a b other than b(24) = 704, as an override
     ],
     ids=lambda p: f"n{p.n}d{p.d}b{p.b}delta{p.delta}",
 )
@@ -380,8 +388,8 @@ def test_verify_mck_passes():
 
 @pytest.mark.parametrize(
     "params",
-    [ModelParams(n, 8, 22) for n in (2, 4, 6, 8)]
-    + [DP, ModelParams(2, 8, 22, 5), ModelParams(4, 8, 3, Fraction(1, 2))],
+    [_y(n) for n in (2, 4, 6, 8)]
+    + [DP, _y(2, 5), ModelParams(4, 8, 3, Fraction(1, 2))],
     ids=lambda p: f"n{p.n}d{p.d}delta{p.delta}",
 )
 def test_verify_mck_matches_full_compositions(params):
@@ -402,7 +410,7 @@ def test_verify_mck_matches_full_compositions_when_it_fails(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "params", [ModelParams(n, 8, 22) for n in (2, 4, 6, 12)] + [DP], ids=lambda p: f"n{p.n}d{p.d}"
+    "params", [_y(n) for n in (2, 4, 6, 12)] + [DP], ids=lambda p: f"n{p.n}d{p.d}"
 )
 def test_tensor_joins_monomials_as_the_full_product(params):
     ps = ck_projectors(params)
@@ -483,7 +491,7 @@ def test_solve_gamma3_n4_symmetric_with_known_values():
 
 @pytest.mark.parametrize(
     "params",
-    [ModelParams(n, 8, 22) for n in (2, 4, 6, 8, 12)]
+    [_y(n) for n in (2, 4, 6, 8, 12)]
     + [DP, ModelParams(4, 3, 5), ModelParams(6, 5, 2, Fraction(1, 2)), ModelParams(2, 7, 3, 0)]
     + [ModelParams(8, 4, 9, -3)],
     ids=["n2", "n4", "n6", "n8", "n12", "double-plane"]
