@@ -187,11 +187,11 @@ def _group(
 def gram(params: ModelParams, m: int, codim: int) -> GramReport:
     """Exact Gram report at the given power and codimension.
 
-    Each block is eliminated on its own.  A column of the dense matrix is
-    free exactly when it is free within its block, and its canonical
-    kernel vector only involves columns of the same block, so the block
-    kernels, ordered by free column (a vector's last nonzero entry), are
-    the canonical kernel of the whole matrix.
+    Each block is symmetric (the same matchings, in the same order, index its
+    rows and columns) and is eliminated on its own, as paired.  A column is free
+    exactly when it is free within its block, and its canonical kernel vector
+    involves only that block's columns, so the block kernels, ordered by free
+    column (a vector's last nonzero entry), are the canonical kernel of the whole.
     """
     if m.__class__ is not int or codim.__class__ is not int:
         _check_cell(m, codim)  # before the comparisons below, which "1" or None would break
@@ -210,7 +210,7 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
         entries = [[_mono_pairing(basis[r], dual[c], params) for c in cols] for r in rows]
         block = GramBlock(tuple(rows), tuple(cols), RationalMatrix(entries, cols=len(cols)))
         blocks.append(block)
-        block_rank, vectors = rank_kernel(block.entries.transpose())
+        block_rank, vectors = rank_kernel(block.entries)
         rank += block_rank
         for vec in vectors:
             free = max(i for i, c in enumerate(vec) if c)

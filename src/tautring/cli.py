@@ -24,7 +24,7 @@ except ImportError:  # an interpreter built without the C accelerator
 from .algebra import (ModelParams, ResourceLimitError, _check_cap, basis_count, class_codim,
                       enumerate_basis, multiply)
 from .calculus import gram, pair, pullback
-from .grammar import ParseError, format_class, format_fraction, parse_class
+from .grammar import format_class, format_fraction, parse_class
 from .kimura import DEFAULT_B_CAP, DEFAULT_GRAM_CAP, scan_injectivity, verify_kimura_vanishing
 from .motives import (
     ck_projectors,
@@ -36,7 +36,7 @@ from .motives import (
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -140,10 +140,10 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
         values[dest] = value
     if unknown:
         token = unknown[0]
-        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+        quoted = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
         hint = "" if token[1:2] == "-" else (
             "; every option is a -- flag or -h, so an operand that begins with '-' goes after '--'")
-        raise UsageError(f"{name} has no option {shown}{hint}")
+        raise UsageError(f"{name} has no option {quoted}{hint}")
     if len(given) != len(positionals):
         raise UsageError(f"{name} takes {len(positionals)} operands, not {len(given)}")
     if required:
@@ -188,6 +188,11 @@ def _resolve_params(args: SimpleNamespace) -> ModelParams:
         raise UsageError(f"profile {args.profile} requires {needs}")
     if b is None and args.profile == "three-quadrics":  # Y's middle Betti number
         b = n * n + 5 * n + 8
+        try:
+            str(b)  # the report writes b
+        except ValueError:  # before any work, and without echoing n
+            limit = sys.get_int_max_str_digits()
+            raise UsageError(f"b = n*n + 5*n + 8 is over the {limit}-digit int-string limit") from None
     elif b is None:
         raise UsageError("--b is required (no default Betti number is assumed)")
     try:
@@ -322,7 +327,7 @@ COMMANDS = {
 }
 
 
-def _report_dict(args, shown_params, results, status, timing_ms):
+def _report_dict(args, params, results, status, start):
     # the inputs are the command's own options that take a value
     inputs = {}
     for flag, kwargs in COMMANDS[args.command].options:
@@ -331,13 +336,13 @@ def _report_dict(args, shown_params, results, status, timing_ms):
             inputs[dest] = getattr(args, dest)
     report = {
         "command": args.command,
-        "params": shown_params,
+        "params": params._asdict(),
         "inputs": inputs,
         "results": results,
         "status": status,
     }
-    if timing_ms is not None:
-        report["timing_ms"] = timing_ms
+    if not args.no_timing:
+        report["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
     return report
 
 
@@ -457,25 +462,19 @@ def _run(argv: list[str]) -> int:
             sys.stdout.write(args)
             return 0
         params = _resolve_params(args)
-        # the report's params, formatted where a usage error is one line
-        shown = {**params._asdict(), "delta": format_fraction(params.delta)}
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    command = COMMANDS[args.command]
-    start = time.perf_counter()
-    try:
-        results = command.run(args, params)
-        status = "pass" if all(results[key] for key in command.checks) else "fail"
-    except ResourceLimitError as exc:
-        status, results = "error", {"error": str(exc)}
-        if exc.partial is not None:  # the rows a scan finished
-            results["rows"] = exc.partial
-    except (ParseError, ValueError, ArithmeticError) as exc:
+        command = COMMANDS[args.command]
+        start = time.perf_counter()
+        try:
+            results = command.run(args, params)
+            status = "pass" if all(results[key] for key in command.checks) else "fail"
+        except ResourceLimitError as exc:  # a cap reached is still a report
+            status, results = "error", {"error": str(exc)}
+            if exc.partial is not None:  # the rows a scan finished
+                results["rows"] = exc.partial
+        sys.stdout.write(_RENDERERS[args.format](_report_dict(args, params, results, status, start)))
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2  # 1: a mathematical check failed
-    timing = None if args.no_timing else round((time.perf_counter() - start) * 1000, 3)
-    sys.stdout.write(_RENDERERS[args.format](_report_dict(args, shown, results, status, timing)))
     return {"pass": 0, "fail": 1, "error": 3}[status]
 
 

@@ -54,6 +54,9 @@ exponent) tuple and formats it by kind, where the library sorts
 integer loop value, where `cohomology_cup` multiplies factor by factor:
 the ring map, the pairing and the Gram rank are checked against it, and
 it shares no rewriting rule with the library's product.
+`cohomology_action` lets a correspondence act on the model by
+pr2_*(cl(Gamma) cup pr1^* alpha), where the library composes
+correspondences by its own product rule.
 `report_values` copies a report tree into plain JSON values, a
 namedtuple as a dict of its fields, a tuple as a list and a `Fraction`
 as its text, where the library's JSON writer reads the records as they
@@ -956,6 +959,17 @@ def cohomology_class(x: TautClass, params: ModelParams) -> dict:
 def cohomology_integral(x: dict, m: int, params: ModelParams) -> Fraction:
     """The integral over Y^m: the coefficient of o on every factor."""
     return Fraction(x.get((params.n,) * m, 0))
+
+
+def cohomology_action(corr: Correspondence, alpha: dict, params: ModelParams) -> dict:
+    """Gamma_*(alpha) = pr2_*(cl(Gamma) cup pr1^* alpha) in the model: alpha,
+    on the source factors, is pulled back with the unit on the target ones,
+    and the push to the target reads the coefficient of o on every source
+    factor."""
+    pulled = {key + (0,) * corr.t: c for key, c in alpha.items()}
+    cup = cohomology_cup(cohomology_class(corr.cls, params), pulled, params)
+    point = (params.n,) * corr.s
+    return {key[corr.s:]: c for key, c in cup.items() if key[:corr.s] == point}
 
 
 def cohomology_image_rank(params: ModelParams, m: int, codim: int) -> int:

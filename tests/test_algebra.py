@@ -7,16 +7,22 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tautring import (
+    Correspondence,
     ModelParams,
+    ParseError,
+    RationalMatrix,
     TautClass,
     TautMonomial,
     basis_count,
     class_codim,
     enumerate_basis,
+    expand_diagonal_times_h,
     h_class,
     monomial_codim,
     multiply,
     o_class,
+    parse_class,
+    pullback,
     tau_class,
     unit_class,
 )
@@ -420,3 +426,40 @@ def test_cap_check_builds_the_partial_rows_only_when_it_refuses():
     with pytest.raises(ResourceLimitError) as err:
         _check_cap(6, 5, "over")
     assert err.value.partial is None
+
+
+_X2 = TautClass.from_monomial(TautMonomial(2, pairs=((1, 2),)))
+
+
+# Validation branches that no other test reaches: each call and its outcome,
+# a value, or the (exception, message) it raises.
+@pytest.mark.parametrize("call, outcome", [
+    pytest.param(lambda: parse_class("h1^0", P28_3),
+                 (ParseError, "h exponent must be >= 1 (at position 0)"), id="h-exponent-0"),
+    pytest.param(lambda: RationalMatrix([]).cols, 0, id="matrix-no-rows"),
+    pytest.param(lambda: RationalMatrix([[1]], cols=2),
+                 (ValueError, "explicit cols does not match row width"), id="matrix-cols"),
+    pytest.param(lambda: repr(RationalMatrix([[1, 2]])), "RationalMatrix(1x2)", id="matrix-repr"),
+    pytest.param(lambda: RationalMatrix([[1]]).__eq__([[1]]), NotImplemented, id="matrix-eq-list"),
+    pytest.param(lambda: Correspondence(_X2, 0, 0),
+                 (ValueError, "source and target blocks must cover at least one factor"),
+                 id="correspondence-empty"),
+    pytest.param(lambda: pullback(_X2, 3, (1,)),
+                 (ValueError, "embedding must list a target for each of 2 factors"),
+                 id="pullback-short-embedding"),
+    pytest.param(lambda: TautClass(2, {TautMonomial(3): 1}),
+                 (ValueError, "monomial on 3 factors in a class on 2"), id="class-factor-count"),
+    pytest.param(lambda: expand_diagonal_times_h(P28_3, 3),
+                 (ValueError, "factor must be 1 or 2"), id="lemma-factor"),
+    pytest.param(lambda: _X2.__add__(1), NotImplemented, id="class-add-int"),
+    pytest.param(lambda: _X2.__sub__(1), NotImplemented, id="class-sub-int"),
+    pytest.param(lambda: _X2.__eq__("t(1,2)"), NotImplemented, id="class-eq-str"),
+])
+def test_validation_branches_answer_as_documented(call, outcome):
+    if isinstance(outcome, tuple):
+        kind, text = outcome
+        with pytest.raises(kind) as raised:
+            call()
+        assert str(raised.value) == text
+    else:
+        assert call() == outcome

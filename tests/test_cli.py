@@ -524,6 +524,27 @@ def test_an_operand_that_begins_with_a_dash_is_sent_after_double_dash(capsys):
     assert err == "error: pair has no option '--bogus'\n"
 
 
+# An n whose b(n) = n*n + 5*n + 8 has 4,399 digits, over the int-string limit.
+HUGE_N = "2" * 2200
+_HAS_STR_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", int)() < 4399
+
+
+@pytest.mark.skipif(not _HAS_STR_LIMIT, reason="b(HUGE_N) is under the int-string limit")
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_b_made_from_n_over_the_int_string_limit_is_a_usage_error(capsys, command, fmt):
+    # refused as the params are read, before any work; the message names the
+    # limit and does not echo the 2,200-digit n
+    operands = {"mul": ["1", "1"], "pair": ["1", "1"]}.get(command, [])
+    options = {"basis": ["--m", "1", "--codim", "0"], "gram": ["--m", "1", "--codim", "0"],
+               "scan": ["--m-max", "1"]}.get(command, [])
+    argv = [command, *operands, *options, "--profile", "three-quadrics", "--n", HUGE_N, "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: b = n*n + 5*n + 8 is over the {limit}-digit int-string limit\n"
+
+
 def test_zero_denominator_delta_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, ["euler", "--delta", "1/0"] + BASE)
     assert code == 2 and out == ""
@@ -788,7 +809,7 @@ def test_parser_agrees_with_the_argparse_oracle(argv):
 # Small values for each option that takes one, caps of 0 and below included.
 _SMALL_VALUES = {
     "--profile": ("custom", "three-quadrics", "double-plane"),
-    "--n": ("2", "4"),
+    "--n": ("2", "4") + ((HUGE_N,) if _HAS_STR_LIMIT else ()),
     "--d": ("2", "8"),
     "--b": ("1", "2", "3", "4"),
     "--delta": ("0", "1/2", "2", "1/0", "1e5000"),
@@ -809,14 +830,21 @@ def _small_argvs(draw):
     most one malformed piece, in any order."""
     name = draw(st.sampled_from(list(cli.COMMANDS)))
     options = cli._COMMON + cli.COMMANDS[name].options
+    n = draw(st.sampled_from(_SMALL_VALUES["--n"]))
+    # b is made from HUGE_N only under three-quadrics without --b; with any
+    # other b the command would start work that grows with n
+    fixed = {"--n": n, "--profile": "three-quadrics", "--b": None} if n == HUGE_N else {"--n": n}
     pieces = []
     for flag, kwargs in options:
-        if flag[0] != "-":
+        if flag in fixed:
+            pieces += [] if fixed[flag] is None else [[flag, fixed[flag]]]
+        elif flag[0] != "-":
             pieces.append([draw(st.sampled_from(_OPERANDS))])
-        elif flag in ("--n", "--d", "--b") or kwargs.get("required") or draw(st.booleans()):
+        elif flag in ("--d", "--b") or kwargs.get("required") or draw(st.booleans()):
             values = _SMALL_VALUES.get(flag)
             pieces.append([flag] if values is None else _given(flag, draw(st.sampled_from(values))))
-    pieces += draw(st.lists(_pieces(options), max_size=1))
+    if n != HUGE_N:  # a malformed piece might give --b, or another profile
+        pieces += draw(st.lists(_pieces(options), max_size=1))
     return [name] + [token for piece in draw(st.permutations(pieces)) for token in piece]
 
 

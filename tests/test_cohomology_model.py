@@ -10,8 +10,11 @@ from random import Random
 
 import pytest
 
-from tautring import ModelParams, TautClass, TautMonomial, enumerate_basis, gram, multiply, pair
-from oracles import cohomology_class, cohomology_cup, cohomology_image_rank, cohomology_integral
+from tautring import (Correspondence, ModelParams, ProjectorSet, TautClass, TautMonomial, ck_projectors,
+                      diagonal, diagonal_class, enumerate_basis, euler_char, gram, multiply, pair,
+                      tau_class, transpose)
+from oracles import (cohomology_action, cohomology_class, cohomology_cup, cohomology_image_rank,
+                     cohomology_integral)
 
 # (n, d) over the loop values N = 0..3, b fixed: delta is given outright
 PROFILES = [ModelParams(n, d, 3, N) for n, d in ((2, 8), (2, 2), (4, 8)) for N in range(4)]
@@ -83,3 +86,45 @@ def test_the_model_sees_the_loop_value_and_the_degree():
     assert cohomology_class(h_squared, ModelParams(2, 8, 3)) == {(2,): 8}
     with pytest.raises(ValueError, match="integer delta"):
         cohomology_class(tau, ModelParams(2, 8, 3, "1/2"))
+
+
+# Y at n in {2, 4}, and the double plane, at each integer loop value N = 0..5
+# with b = N + 1, so that delta = b - 1 = N and H*(Y) has n + 1 + N basis vectors
+MOTIVE_PROFILES = [ModelParams(n, d, N + 1) for n, d in ((2, 8), (2, 2), (4, 8)) for N in range(6)]
+
+
+def _graded_basis(params: ModelParams) -> list[tuple[int, int]]:
+    """Each label of H*(Y) with its degree: h^k (label k < n) in 2k, o
+    (label n) in 2n and each e_a (label n + a) in n."""
+    n = params.n
+    return [(u, 2 * u if u <= n else n) for u in range(n + 1 + int(params.delta))]
+
+
+def _acts_as_graded_projections(ps: ProjectorSet) -> bool:
+    """Whether each pi^k acts on H*(Y) as the projection onto H^k."""
+    params = ps.params
+    return all(cohomology_action(ps[k], {(u,): 1}, params) == ({(u,): 1} if degree == k else {})
+               for k in ps.indices() for u, degree in _graded_basis(params))
+
+
+@pytest.mark.parametrize("params", MOTIVE_PROFILES, ids=PROFILE_ID)
+def test_the_diagonal_and_the_projectors_act_as_in_cohomology(params):
+    for u, _ in _graded_basis(params):
+        assert cohomology_action(diagonal(params), {(u,): 1}, params) == {(u,): 1}, u
+    cl = cohomology_class(diagonal_class(params), params)
+    assert cohomology_integral(cohomology_cup(cl, cl, params), 2, params) == params.n + params.b
+    assert euler_char(params) == params.n + params.b
+    ps = ck_projectors(params)
+    assert _acts_as_graded_projections(ps)
+
+
+@pytest.mark.parametrize("params", MOTIVE_PROFILES, ids=PROFILE_ID)
+def test_the_action_catches_projectors_in_the_wrong_degree(params):
+    # both broken sets keep the projector laws; only the grading moves
+    ps, n, tau = ck_projectors(params), params.n, tau_class(2, 1, 2)
+    transposed = ProjectorSet(params, {k: transpose(ps[k]) for k in ps.indices()})
+    assert not _acts_as_graded_projections(transposed)
+    moved = ProjectorSet(params, {**ps.projectors, 0: Correspondence(ps[0].cls + tau, 1, 1),
+                                  n: Correspondence(ps[n].cls - tau, 1, 1)})
+    # tau is sum_a e_a x e_a, which is 0 at N = 0, where the two sets agree in cohomology
+    assert _acts_as_graded_projections(moved) == (params.delta == 0)

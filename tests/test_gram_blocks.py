@@ -15,8 +15,10 @@ from tautring import (
     enumerate_basis,
     gram,
     is_zero_in_cohomology,
+    rank_kernel,
     scan_injectivity,
 )
+from tautring.kimura import _matching_gram_rank
 from oracles import dense_gram, dense_is_zero_in_cohomology, gram_scan
 
 DELTAS = (None, Fraction(1, 2), Fraction(0))  # None: the model value b - 1
@@ -92,3 +94,34 @@ def test_capped_scan_matches_gram_oracle(n, cap):
         gram_scan(params, 6, cap_gram=cap)
     assert str(got.value) == str(want.value)
     assert got.value.partial == want.value.partial
+
+
+# Four profiles, a fractional loop value among them, over the small cells and
+# over cells whose tau atoms join two-digit factors (m = 10..12), where
+# `canonical_str` no longer orders the factors numerically.
+SYMMETRY_PROFILES = (ModelParams(2, 8, 3), ModelParams(2, 8, 3, Fraction(1, 2)), ModelParams(4, 8, 5),
+                     ModelParams(2, 2, 22))
+TWO_DIGIT_CELLS = [(m, codim) for m in (10, 11, 12) for codim in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("params", SYMMETRY_PROFILES, ids="n={0.n},d={0.d},b={0.b},delta={0.delta}".format)
+def test_each_block_is_symmetric_and_of_the_matching_rank(params):
+    # gram eliminates each block as paired, which is its transpose only when
+    # rows and columns run over the same matchings in the same order and the
+    # entries are symmetric; each block's rank is the scan's closed-form r_k
+    blocks = 0
+    small = [(m, codim) for m in range(1, 6) for codim in range(m * params.n + 1)]
+    for m, codim in small + TWO_DIGIT_CELLS:
+        report = gram(params, m, codim)
+        rank = 0
+        for block in report.blocks:
+            matchings = [report.basis[r].pairs for r in block.rows]
+            assert matchings == [report.dual_basis[c].pairs for c in block.cols], (m, codim)
+            entries = block.entries.entries
+            assert all(row[j] == entries[j][i] for i, row in enumerate(entries) for j in range(len(row)))
+            block_rank = _matching_gram_rank(params, len(matchings[0]))
+            assert rank_kernel(block.entries)[0] == block_rank, (m, codim, matchings)
+            rank += block_rank
+        assert report.rank == rank, (m, codim)
+        blocks += len(report.blocks)
+    assert blocks > 7000
