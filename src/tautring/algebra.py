@@ -444,6 +444,11 @@ def _block_counts(n: int, m: int, codim: int) -> Iterator[tuple[int, int]]:
         yield k, comb(m, 2 * k) * _local_count(m - 2 * k, codim - n * k, n)
 
 
+def _matching_count(k: int) -> int:
+    """(2k-1)!!, the perfect matchings of 2k points."""
+    return prod(range(1, 2 * k, 2))
+
+
 def basis_count(params: ModelParams, m: int, codim: int) -> int:
     """len(enumerate_basis(params, m, codim)) without building the basis.
 
@@ -452,7 +457,7 @@ def basis_count(params: ModelParams, m: int, codim: int) -> int:
     m - 2k factors summing to codim - n*k.
     """
     _check_cell(m, codim)
-    return sum(blocks * prod(range(1, 2 * k, 2)) for k, blocks in _block_counts(params.n, m, codim))
+    return sum(blocks * _matching_count(k) for k, blocks in _block_counts(params.n, m, codim))
 
 
 class ResourceLimitError(RuntimeError):

@@ -192,6 +192,7 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
     exactly when it is free within its block, and its canonical kernel vector
     involves only that block's columns, so the block kernels, ordered by free
     column (a vector's last nonzero entry), are the canonical kernel of the whole.
+    Every block is square, so the rank is the basis size less the kernel's.
     """
     if m.__class__ is not int or codim.__class__ is not int:
         _check_cell(m, codim)  # before the comparisons below, which "1" or None would break
@@ -203,15 +204,13 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
     factors = range(1, m + 1)
     dual_groups = _group(dual, factors, params.n, complement=True)
     blocks: list[GramBlock] = []
-    rank = 0
     kernel: list[tuple[int, TautClass]] = []
     for key, rows in _group(basis, factors, params.n).items():
         cols = dual_groups.get(key, [])
         entries = [[_mono_pairing(basis[r], dual[c], params) for c in cols] for r in rows]
         block = GramBlock(tuple(rows), tuple(cols), RationalMatrix(entries, cols=len(cols)))
         blocks.append(block)
-        block_rank, vectors = rank_kernel(block.entries)
-        rank += block_rank
+        _, vectors = rank_kernel(block.entries)
         for vec in vectors:
             free = max(i for i, c in enumerate(vec) if c)
             terms = {basis[r]: c for r, c in zip(rows, vec) if c}
@@ -221,7 +220,7 @@ def gram(params: ModelParams, m: int, codim: int) -> GramReport:
         basis=tuple(basis),
         dual_basis=tuple(dual),
         blocks=tuple(blocks),
-        rank=rank,
+        rank=len(basis) - len(kernel),
         kernel_basis=tuple(cls for _, cls in kernel),
     )
 

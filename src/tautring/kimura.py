@@ -11,11 +11,13 @@ radical first appears.
 
 import itertools
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from fractions import Fraction
+from functools import cache
 from math import factorial, prod
 
-from .algebra import ModelParams, TautClass, TautMonomial, _block_counts, _check_cap, basis_count
+from .algebra import (ModelParams, TautClass, TautMonomial, _block_counts, _check_cap, _matching_count,
+                      basis_count)
 from .calculus import pair
 from .linalg import _exact
 
@@ -23,35 +25,18 @@ DEFAULT_B_CAP = 7
 DEFAULT_GRAM_CAP = 2000
 
 
-def _cycle_count(perm: Sequence[int]) -> int:
-    # perm maps position i (0-based) to perm[i] (1-based values)
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur] - 1
-    return cycles
-
-
-def _sign(perm: Sequence[int]) -> int:
-    return -1 if (len(perm) - _cycle_count(perm)) % 2 else 1
-
-
 def kimura_element(params: ModelParams, cap_b: int = DEFAULT_B_CAP) -> TautClass:
     """Build sum over sigma of sign(sigma) * prod_i tau_(i, b+sigma(i)), the
-    alternating sum of block matchings on 2b factors: b! terms, signs +-1."""
+    alternating sum of block matchings on 2b factors: b! terms, each sign
+    (-1)^(inversions of sigma)."""
     b = params.b
     _check_cap(b, cap_b, f"b={b} exceeds the cap {cap_b} ({b}! terms)")
     m = 2 * b
     terms: dict[TautMonomial, Fraction] = {}
     for perm in itertools.permutations(range(1, b + 1)):
         pairs = tuple((i, b + perm[i - 1]) for i in range(1, b + 1))
-        terms[TautMonomial(m, pairs)] = Fraction(_sign(perm))
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        terms[TautMonomial(m, pairs)] = Fraction((-1) ** inversions)
     return TautClass(m, terms)
 
 
@@ -147,22 +132,26 @@ def _matching_eigenvalue(shape: tuple[int, ...], delta: Fraction) -> Fraction | 
     return prod(delta + 2 * j - i for i, part in enumerate(shape) for j in range(part))
 
 
+@cache  # a scan reads each r_k at many cells
 def _matching_gram_rank(params: ModelParams, k: int) -> int:
     """Rank r_k(delta) of the perfect-matching Gram matrix on 2k points,
     whose (mu, nu) entry is delta^cycles(mu union nu).
 
     The matchings span the sum of the S_2k-irreducibles S^(2 lambda) over
     the partitions lambda of k, each once, and the matrix is a scalar on
-    each, so the rank adds up f^(2 lambda) over the nonzero scalars.  At
-    an integer delta = N >= 0 a shape of more than N rows has the cell
-    (N, 0), whose factor delta - N is 0, so only shapes of at most N rows
-    are generated.
+    each, so the rank adds up f^(2 lambda) over the nonzero scalars.  A
+    factor delta + 2j - i is 0 only at an integer delta = N, in the row
+    i = N + 2j, and a shape of k has no row i >= k, so when delta is not an
+    integer, or k <= N, every matching counts.  Otherwise, at N >= 0, a
+    shape of more than N rows has the cell (N, 0), whose factor delta - N
+    is 0, so only shapes of at most N rows are generated.
     """
     delta = params.delta
-    rows = int(delta) if delta.denominator == 1 and delta >= 0 else k
+    if delta.denominator != 1 or k <= delta:
+        return _matching_count(k)
     return sum(
         _doubled_shape_dimension(shape)
-        for shape in _partitions(k, k, rows)
+        for shape in _partitions(k, k, k if delta < 0 else int(delta))
         if _matching_eigenvalue(shape, delta)
     )
 
@@ -185,19 +174,13 @@ def scan_injectivity(
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     n = params.n
-    ranks: dict[int, int] = {}
     rows: list[ScanRow] = []
     for m in range(1, m_max + 1):
         for codim in range(m * n + 1):
-            counts = list(_block_counts(n, m, codim))
-            size = sum(blocks * prod(range(1, 2 * k, 2)) for k, blocks in counts)
+            counts = [(k, blocks) for k, blocks in _block_counts(n, m, codim) if blocks]
+            size = sum(blocks * _matching_count(k) for k, blocks in counts)
             message = f"Gram dimension {size} at m={m}, codim={codim} exceeds the cap {cap_gram}"
             _check_cap(size, cap_gram, message, rows)
-            total = 0
-            for k, blocks in counts:
-                if blocks:
-                    if k not in ranks:
-                        ranks[k] = _matching_gram_rank(params, k)
-                    total += blocks * ranks[k]
+            total = sum(blocks * _matching_gram_rank(params, k) for k, blocks in counts)
             rows.append(ScanRow(m=m, codim=codim, basis_size=size, rank=total, deficiency=size - total))
     return tuple(rows)

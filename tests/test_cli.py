@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -180,11 +181,12 @@ def test_kimura_reaches_b6_with_a_raised_cap(capsys):
     assert (code, out, err) == (0, KIMURA_HEADER + "\n6,5,True,True,5447872\n", "")
 
 
-def test_arithmetic_error_ends_in_one_line_with_exit_1(capsys, monkeypatch):
-    def no_cancellation(params):
-        raise ArithmeticError("no polynomial in h cancels the residual")
+def _no_cancellation(params):
+    raise ArithmeticError("no polynomial in h cancels the residual")
 
-    monkeypatch.setattr(cli, "solve_gamma3", no_cancellation)
+
+def test_arithmetic_error_ends_in_one_line_with_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_gamma3", _no_cancellation)
     code, out, err = run_cli(capsys, ["gamma3"] + BASE)
     assert (code, out) == (1, "")
     assert err == "error: no polynomial in h cancels the residual\n"
@@ -966,3 +968,90 @@ def test_program_takes_the_normal_exit_when_a_command_raises(monkeypatch):
     monkeypatch.setattr(cli.os, "_exit", _exit_refused)
     with pytest.raises(RuntimeError, match="unexpected"):
         main()
+
+
+# The report contract, one row per command and exit code that it can reach:
+# argv, a patch of one library call in `cli` as (name, wrap) or None, and the
+# exit code.  basis, mul, pair and gram check nothing, so they never exit 1;
+# the verifiers, lemma-ok, gamma3 and euler take no cap, so they never exit 3.
+HELP_ARGVS = [[name, "--help"] for name in cli.COMMANDS] + [
+    ["-h"], ["--help", "euler"], ["euler", "--bogus", "--help"]]
+_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", int)() < 8000
+CONTRACT_CASES = (
+    [(argv, None, 0) for argv in COMMANDS]
+    + [(argv, None, 0 if argv in HELP_ARGVS else 2) for argv in PARSE_CASES]
+    + [([command] + BASE, (call, patch), 1) for command, call, patch, _, _ in FAIL_CASES]
+    + [
+        (["euler"] + BASE, ("euler_char", lambda euler_char: lambda params: euler_char(params) + 1), 1),
+        (["kimura", "--n", "2", "--d", "8", "--b", "2", "--delta", "2", "--no-timing"], None, 1),
+        (["gamma3"] + BASE, ("solve_gamma3", lambda _: _no_cancellation), 1),  # an error line
+        (["basis", "--m", "0", "--codim", "0"] + BASE, None, 2),
+        (["gram", "--m", "2", "--codim=99"] + BASE, None, 2),
+        (["mul", "t(1", "1"] + BASE, None, 2),
+        (["pair", "h1^2", "1", "--no-normalize-input"] + BASE, None, 2),
+        (["scan", "--m-max", "0"] + BASE, None, 2),
+        (["kimura", "--cap-b", "2.5"] + BASE, None, 2),
+        (["verify-ck", "--delta", "1/0"] + BASE, None, 2),
+        (["verify-mck", "--n", "3", "--d", "8", "--b", "3"], None, 2),
+        (["lemma-ok", "--profile", "double-plane", "--n", "4", "--b", "3"], None, 2),
+        (["gamma3", "--n", "2", "--d", "8"], None, 2),
+    ]
+    + [([command, "--m", "14", "--codim", "14"] + BASE, None, 3) for command in ("basis", "gram")]
+    + [([command, *args] + BASE, None, 3) for command, args, _, _ in FACTOR_CAP_CASES]
+    + [
+        (["scan", "--m-max", "4", "--cap-gram", "5"] + BASE, None, 3),
+        (["kimura", "--n", "2", "--d", "8", "--b", "9", "--no-timing"], None, 3),  # --cap-b
+        (["kimura", "--n", "2", "--d", "8", "--b", "4", "--no-timing"], None, 3),  # --cap-gram
+    ]
+    + [([command, *operands] + BASE, None, 3) for command, operands, _ in (LIMIT_CASES if _LIMITED else ())]
+)
+
+
+def _contract_id(case):
+    argv, _, code = case
+    text = " ".join(argv) or "(empty)"
+    return f"exit{code}: " + (text if len(text) <= 60 else text[:60] + "...")
+
+
+@pytest.mark.parametrize("argv, patch, code", CONTRACT_CASES, ids=map(_contract_id, CONTRACT_CASES))
+def test_every_command_meets_the_report_contract(monkeypatch, argv, patch, code):
+    # a report on stdout or one error line on stderr, never both and never a
+    # traceback; a stopped report carries its reason in JSON and text, and in
+    # CSV is the header alone or a scan's finished rows; the documented code
+    if patch is not None:
+        name, wrap = patch
+        monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+    reasons = []
+    for fmt in ("json", "csv", "text"):
+        got, out, err = _main_output(argv + ["--format", fmt])
+        assert got == code and "Traceback" not in out + err, fmt
+        if not out:
+            assert code in (1, 2) and ERROR_LINE.fullmatch(err), fmt
+            continue
+        assert err == "", fmt
+        if code == 0 and out.startswith("usage: tautring "):
+            continue  # the help page
+        assert code != 2, fmt
+        status = {0: "pass", 1: "fail", 3: "error"}[code]
+        if fmt == "json":
+            report = json.loads(out)
+            jsonschema.validate(report, load_schema())
+            assert report["status"] == status
+            assert ("error" in report["results"]) == (code == 3)
+            reasons += [report["results"]["error"]] if code == 3 else []
+        elif fmt == "text":
+            lines = out.splitlines()
+            assert lines[-1] == f"status: {status}"
+            stops = [line for line in lines if line.startswith("error: ")]
+            assert stops == ([lines[-2]] if code == 3 else [])
+            reasons += [line[len("error: "):] for line in stops]
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == list(cli.COMMANDS[argv[0]].columns)
+            if code == 3 and argv[0] == "scan":  # the rows finished, a prefix of the whole scan
+                whole = _main_output(argv + ["--format", "csv", f"--cap-gram={10**80}"])[1]
+                assert len(rows) > 1 and whole.startswith(out) and len(whole) > len(out)
+            elif code == 3:
+                assert len(rows) == 1
+    # the one reason, the same in JSON and text
+    assert len(reasons) == (2 if code == 3 else 0) and len(set(reasons)) <= 1

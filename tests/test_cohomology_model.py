@@ -6,13 +6,14 @@ factor, so the rewriting rules are checked, not reused.  A non-integer delta
 has no such model.
 """
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from tautring import (Correspondence, ModelParams, ProjectorSet, TautClass, TautMonomial, ck_projectors,
-                      diagonal, diagonal_class, enumerate_basis, euler_char, gram, multiply, pair,
-                      tau_class, transpose)
+from tautring import (Correspondence, ModelParams, ProjectorSet, TautClass, TautMonomial, algebra, calculus,
+                      ck_projectors, diagonal, diagonal_class, enumerate_basis, euler_char, gram, multiply,
+                      o_class, pair, pullback, small_diagonal, solve_gamma3, tau_class, transpose)
 from oracles import (cohomology_action, cohomology_class, cohomology_cup, cohomology_image_rank,
                      cohomology_integral)
 
@@ -107,15 +108,85 @@ def _acts_as_graded_projections(ps: ProjectorSet) -> bool:
                for k in ps.indices() for u, degree in _graded_basis(params))
 
 
+def _diagonal_acts_as_the_identity(params: ModelParams) -> bool:
+    return all(cohomology_action(diagonal(params), {(u,): 1}, params) == {(u,): 1}
+               for u, _ in _graded_basis(params))
+
+
+def _euler_char_is_the_self_intersection(params: ModelParams) -> bool:
+    """Whether the integral of cl(Delta) cup cl(Delta) and `euler_char` are both n + b."""
+    cl = cohomology_class(diagonal_class(params), params)
+    integral = cohomology_integral(cohomology_cup(cl, cl, params), 2, params)
+    return integral == euler_char(params) == params.n + params.b
+
+
+def _small_diagonal_acts_as_the_cup_product(params: ModelParams) -> bool:
+    """Whether the small diagonal, read from Y x Y to Y, sends a x b to a cup b."""
+    sm = Correspondence(small_diagonal(params), 2, 1)
+    labels = [u for u, _ in _graded_basis(params)]
+    return all(cohomology_action(sm, {(u, v): 1}, params) == cohomology_cup({(u,): 1}, {(v,): 1}, params)
+               for u in labels for v in labels)
+
+
+def _added(x: dict, y: dict, scale=1) -> dict:
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _gamma3_zero_class_maps_to_zero(params: ModelParams) -> bool:
+    """Whether sm - (D_12 o_3 + D_13 o_2 + D_23 o_1) + sum a_ijk h1^i h2^j h3^k, which
+    `solve_gamma3` writes as zero, is zero in the model, each product cupped there."""
+    solution = solve_gamma3(params)
+    total = cohomology_class(small_diagonal(params), params)
+    for factors, other in (((1, 2), 3), ((1, 3), 2), ((2, 3), 1)):
+        diag = cohomology_class(pullback(diagonal_class(params), 3, factors), params)
+        total = _added(total, cohomology_cup(diag, cohomology_class(o_class(3, other), params), params), -1)
+    for exponents, a in solution.coefficients.items():
+        raw = TautMonomial(3, hpows=tuple((f, e) for f, e in zip((1, 2, 3), exponents) if e))
+        total = _added(total, cohomology_class(TautClass.from_monomial(raw), params), a)
+    return solution.residual.is_zero and not total
+
+
+MOTIVE_CHECKS = (
+    _diagonal_acts_as_the_identity,
+    lambda params: _acts_as_graded_projections(ck_projectors(params)),
+    _euler_char_is_the_self_intersection,
+    _small_diagonal_acts_as_the_cup_product,
+    _gamma3_zero_class_maps_to_zero,
+)
+
+
 @pytest.mark.parametrize("params", MOTIVE_PROFILES, ids=PROFILE_ID)
 def test_the_diagonal_and_the_projectors_act_as_in_cohomology(params):
-    for u, _ in _graded_basis(params):
-        assert cohomology_action(diagonal(params), {(u,): 1}, params) == {(u,): 1}, u
-    cl = cohomology_class(diagonal_class(params), params)
-    assert cohomology_integral(cohomology_cup(cl, cl, params), 2, params) == params.n + params.b
-    assert euler_char(params) == params.n + params.b
-    ps = ck_projectors(params)
-    assert _acts_as_graded_projections(ps)
+    assert _diagonal_acts_as_the_identity(params)
+    assert _euler_char_is_the_self_intersection(params)
+    assert _acts_as_graded_projections(ck_projectors(params))
+
+
+@pytest.mark.parametrize("params", MOTIVE_PROFILES, ids=PROFILE_ID)
+def test_the_small_diagonal_acts_as_the_cup_product(params):
+    assert _small_diagonal_acts_as_the_cup_product(params)
+
+
+@pytest.mark.parametrize("params", MOTIVE_PROFILES, ids=PROFILE_ID)
+def test_the_class_gamma3_writes_as_zero_is_zero_in_cohomology(params):
+    assert _gamma3_zero_class_maps_to_zero(params)
+
+
+@pytest.mark.parametrize("params", MOTIVE_PROFILES, ids=PROFILE_ID)
+def test_a_product_without_delta_per_cycle_fails_a_check(monkeypatch, params):
+    # every closed cycle is read as 1: the checks must see it, except at
+    # delta = 1, where that is the product itself
+    mul = algebra._mul_monomials
+
+    def no_delta(a, b, params):
+        return mul(a, b, params._replace(delta=Fraction(1)))
+
+    for module in (algebra, calculus):
+        monkeypatch.setattr(module, "_mul_monomials", no_delta)
+    assert all(check(params) for check in MOTIVE_CHECKS) == (params.delta == 1)
 
 
 @pytest.mark.parametrize("params", MOTIVE_PROFILES, ids=PROFILE_ID)

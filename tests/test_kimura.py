@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -28,30 +28,8 @@ P2 = ModelParams(2, 8, 2)
 P3 = ModelParams(2, 8, 3)
 
 
-def _inversion_sign(perm):
-    # independent of the library's cycle-count sign
-    inversions = sum(
-        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def _params(n, b, delta):
     return ModelParams(n, 8, b) if delta is None else ModelParams(n, 8, b, delta=Fraction(delta))
-
-
-def _cycles_of(perm):
-    seen = set()
-    count = 0
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        count += 1
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cur = perm[cur] - 1
-    return count
 
 
 def test_kimura_element_b2():
@@ -67,6 +45,16 @@ def test_kimura_element_b3_shape():
     for mono in element.terms:
         assert len(mono.pairs) == P3.b
         assert all(i <= P3.b < j for i, j in mono.pairs)
+
+
+@pytest.mark.parametrize("b", range(1, 7))
+def test_kimura_signs_are_the_cycle_type_signs(b):
+    # the library counts inversions; the oracle reads the sign off the cycles
+    element = kimura_element(ModelParams(2, 8, b))
+    assert len(element.terms) == factorial(b)
+    for perm in itertools.permutations(range(1, b + 1)):
+        mono = TautMonomial(2 * b, tuple((i, b + perm[i - 1]) for i in range(1, b + 1)))
+        assert element.coefficient(mono) == oracles.cycle_type_sign(perm), perm
 
 
 def test_kimura_element_respects_cap():
@@ -106,7 +94,7 @@ def test_falling_factorial_matches_closed_form_and_independent_sum():
             assert value == closed
             independent = Fraction(0)
             for perm in itertools.permutations(range(1, b + 1)):
-                independent += _inversion_sign(perm) * delta ** _cycles_of(perm)
+                independent += oracles.cycle_type_sign(perm) * delta ** oracles.cycle_count(perm)
             assert value == independent
 
 
@@ -139,7 +127,7 @@ def test_pairing_against_block_matchings_counts_cycles():
                 for i in range(1, b + 1):
                     rho_inv[rho[i - 1] - 1] = i
                 composed = tuple(sigma[rho_inv[i] - 1] for i in range(b))
-                expected = params.delta ** _cycles_of(composed)
+                expected = params.delta ** oracles.cycle_count(composed)
                 assert pair(left, right, params) == expected
 
 
@@ -157,7 +145,7 @@ def test_kimura_pairing_matches_falling_factorial_for_all_matchings():
                 value = pair(element, TautClass.from_monomial(mono), params)
                 if all(i <= b < j for i, j in pairs):
                     rho = [j - b for _, j in sorted(pairs)]
-                    assert value == _inversion_sign(rho) * base
+                    assert value == oracles.cycle_type_sign(rho) * base
                     crossings += 1
                 else:
                     assert value == 0
@@ -192,7 +180,7 @@ def no_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work began before the caps were read")
 
-    for name in ("kimura_element", "_sign", "_cycle_count", "pair", "_matching_gram_rank"):
+    for name in ("kimura_element", "pair", "_matching_gram_rank"):
         monkeypatch.setattr(kimura, name, refuse)
 
 
@@ -268,6 +256,18 @@ def test_scan_refuses_an_m_max_that_is_not_an_int(m_max):
         scan_injectivity(P2, m_max)
 
 
+def test_scan_reads_each_rank_once():
+    # r_k is cached where it is defined: a scan misses once per k it reads,
+    # k = 0..20 at m_max = 40, and a second scan only hits
+    _matching_gram_rank.cache_clear()
+    rows = scan_injectivity(P3, 40, cap_gram=10**80)
+    first = _matching_gram_rank.cache_info()
+    assert first.misses == first.currsize == 21 and first.hits > 0
+    assert scan_injectivity(P3, 40, cap_gram=10**80) == rows
+    second = _matching_gram_rank.cache_info()
+    assert (second.misses, second.currsize) == (21, 21) and second.hits > first.hits
+
+
 def test_matching_gram_ranks_follow_brauer_invariant_counts():
     # for an integer loop value N the rank of the matching Gram matrix on 2k
     # points is the dimension of the O(N)-invariants of the 2k-fold tensor
@@ -299,7 +299,9 @@ def test_closed_form_matching_rank_matches_elimination(delta):
 
 
 @pytest.mark.parametrize(
-    "delta", (0, 1, 2, 3, 5, -1, -3, Fraction(1, 2), Fraction(2, 3)), ids=str
+    "delta",
+    (0, 1, 2, 3, 5, 21, -1, -3, Fraction(1, 2), Fraction(2, 3), Fraction(7, 2), Fraction(-7, 3)),
+    ids=str,
 )
 def test_matching_rank_sums_as_over_every_shape(delta):
     params = ModelParams(2, 8, 3, delta=delta)
