@@ -25,6 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import comb, prod
 from types import MappingProxyType
 
@@ -131,18 +132,6 @@ def _local_degrees(mono: TautMonomial, n: int) -> dict[int, int]:
     degrees = dict(mono.hpows)
     degrees.update(dict.fromkeys(mono.opoints, n))
     return degrees
-
-
-def _written(m: int, pairs: tuple, degrees: Iterable[tuple[int, int]], n: int) -> TautMonomial:
-    """The monomial of sorted tau `pairs` and (factor, degree) `degrees` in factor order, with
-    degree n read as o and 0 as the unit; its fields are canonical, so it is not validated again."""
-    hpows, opoints = [], []
-    for fe in degrees:  # a loop: gram and basis build every basis monomial here
-        if fe[1] == n:
-            opoints.append(fe[0])
-        elif fe[1]:
-            hpows.append(fe)
-    return tuple.__new__(TautMonomial, (m, pairs, tuple(hpows), tuple(opoints)))
 
 
 def monomial_codim(mono: TautMonomial, params: ModelParams) -> int:
@@ -368,20 +357,6 @@ def class_codim(x: TautClass, params: ModelParams) -> int | None:
     return codims.pop()
 
 
-def _matchings(avail: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The matchings of exactly k pairs on the factors avail."""
-    if k == 0:
-        yield ()
-        return
-    if len(avail) < 2 * k:
-        return
-    first, rest = avail[0], avail[1:]
-    yield from _matchings(rest, k)
-    for idx, partner in enumerate(rest):
-        for sub in _matchings(rest[:idx] + rest[idx + 1 :], k - 1):
-            yield ((first, partner),) + sub
-
-
 def _local_assignments(count: int, total: int, n: int) -> list[tuple[int, ...]]:
     # the local degrees, each in 0..n, of `count` factors in order summing to
     # `total`; a factor takes only the degrees from which the rest can reach it
@@ -391,6 +366,20 @@ def _local_assignments(count: int, total: int, n: int) -> list[tuple[int, ...]]:
             for rest in _local_assignments(count - 1, total - deg, n)]
 
 
+def _perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The perfect matchings of the ascending points, each as sorted pairs, in
+    the order of their tau text: the first point's partners are taken in the
+    order of their decimal text, which is how `canonical_str` compares them."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for partner in sorted(rest, key=str):
+        idx = rest.index(partner)
+        for sub in _perfect_matchings(rest[:idx] + rest[idx + 1 :]):
+            yield ((first, partner),) + sub
+
+
 def _check_cell(m: int, codim: int) -> None:
     if m.__class__ is not int or m < 1:
         raise ValueError(f"factor count {m!r} must be an integer >= 1")
@@ -398,30 +387,45 @@ def _check_cell(m: int, codim: int) -> None:
         raise ValueError(f"codimension {codim!r} must be an integer >= 0")
 
 
-def enumerate_basis(params: ModelParams, m: int, codim: int) -> list[TautMonomial]:
-    """All normal-form monomials of the given codimension, in canonical order.
-
-    k tau pairs give codimension n*k and leave m - 2k factors of local
-    degree at most n, so only k with n*k <= codim <= n*(m - k) occur.
-    The local degrees are listed once per k and placed on the factors that
-    each matching leaves free, and `_written` builds each monomial without a
-    second validation.
-    """
-    _check_cell(m, codim)
-    n = params.n
-    out: list[TautMonomial] = []
-    factors = tuple(range(1, m + 1))
+def _gram_blocks(n: int, m: int, codim: int) -> Iterator[tuple[list, list[int], tuple[int, ...]]]:
+    """Each Gram block of the cell (see `calculus._dropped_key`): the perfect
+    matchings of its tau-covered factors, formed once per covered set, the
+    other factors, and their local degrees, listed once per pair count k
+    (those with n*k <= codim <= n*(m - k))."""
+    factors = range(1, m + 1)
     for k in range(min(m // 2, codim // n) + 1):
         rem = codim - n * k
         if rem > n * (m - 2 * k):
             continue
         assignments = _local_assignments(m - 2 * k, rem, n)
-        for pairs in _matchings(factors, k):
-            matched = {f for p in pairs for f in p}
-            unmatched = [f for f in factors if f not in matched]
-            out += [_written(m, pairs, zip(unmatched, degrees), n) for degrees in assignments]
-    out.sort(key=TautMonomial.canonical_str)
-    return out
+        for covered in combinations(factors, 2 * k):
+            matchings = list(_perfect_matchings(covered))
+            free = [f for f in factors if f not in covered]
+            for degrees in assignments:
+                yield matchings, free, degrees
+
+
+def _block_monomials(m: int, matchings: Iterable, free: Iterable[int], degrees: Iterable[int], n: int) -> list:
+    """A block's monomials: each sorted tau matching with local degrees `degrees` on the factors `free`,
+    in order, degree n read as o and 0 as the unit.  The fields are canonical, so not validated again."""
+    hpows, opoints = [], []
+    for f, e in zip(free, degrees):  # a loop: every basis and Gram monomial is built here
+        if e == n:
+            opoints.append(f)
+        elif e:
+            hpows.append((f, e))
+    hpows, opoints = tuple(hpows), tuple(opoints)
+    return [tuple.__new__(TautMonomial, (m, pairs, hpows, opoints)) for pairs in matchings]
+
+
+def enumerate_basis(params: ModelParams, m: int, codim: int) -> list[TautMonomial]:
+    """All normal-form monomials of the given codimension, in canonical order:
+    the monomials of every Gram block of the cell."""
+    _check_cell(m, codim)
+    n = params.n
+    monos = [mono for matchings, free, degrees in _gram_blocks(n, m, codim)
+             for mono in _block_monomials(m, matchings, free, degrees, n)]
+    return sorted(monos, key=TautMonomial.canonical_str)
 
 
 @cache  # a scan asks for the same count at many cells and k

@@ -11,8 +11,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .algebra import (ModelParams, TautClass, TautMonomial, _check_cell, _local_degrees, _matchings,
-                      _mul_monomials, _written, class_codim, enumerate_basis, unit_class)
+from .algebra import (ModelParams, TautClass, TautMonomial, _block_monomials, _check_cell, _gram_blocks,
+                      _local_degrees, _mul_monomials, _perfect_matchings, class_codim, unit_class)
 from .linalg import RationalMatrix, rank_kernel
 
 
@@ -175,46 +175,44 @@ class GramReport(
         return RationalMatrix(entries, cols=len(self.dual_basis))
 
 
-def _group(
-    monos: Sequence[TautMonomial], factors: range, n: int, complement: bool = False
-) -> dict[tuple, list[int]]:
-    groups: dict[tuple, list[int]] = {}
-    for idx, mono in enumerate(monos):
-        groups.setdefault(_dropped_key(mono, factors, n, complement), []).append(idx)
-    return groups
-
-
 def gram(params: ModelParams, m: int, codim: int) -> GramReport:
     """Exact Gram report at the given power and codimension.
 
-    Each block is symmetric (the same matchings, in the same order, index its
-    rows and columns) and is eliminated on its own, as paired.  A column is free
-    exactly when it is free within its block, and its canonical kernel vector
-    involves only that block's columns, so the block kernels, ordered by free
-    column (a vector's last nonzero entry), are the canonical kernel of the whole.
-    Every block is square, so the rank is the basis size less the kernel's.
+    Each block is paired as `_gram_blocks` lists it: rows and columns are the
+    same matchings in the same canonical order (so ascending), with the local
+    degrees and their complements, so it is symmetric and is eliminated on its
+    own, as paired.  A column is free exactly when it is free within its block,
+    and its canonical kernel vector involves only that block's columns, so the
+    block kernels, ordered by free column (a vector's last nonzero entry), are
+    the canonical kernel of the whole.  Every block is square, so the rank is
+    the basis size less the kernel's.
     """
-    if m.__class__ is not int or codim.__class__ is not int:
-        _check_cell(m, codim)  # before the comparisons below, which "1" or None would break
-    top = m * params.n
-    if m >= 1 and not 0 <= codim <= top:  # enumerate_basis rejects m < 1
+    if m.__class__ is not int or codim.__class__ is not int or m < 1:
+        _check_cell(m, codim)  # m < 1 too; before the comparisons below, which "1" or None would break
+    n, top = params.n, m * params.n
+    if not 0 <= codim <= top:
         raise ValueError(f"codimension {codim} is not in 0..m*n = 0..{top}")
-    basis = enumerate_basis(params, m, codim)
-    dual = basis if 2 * codim == top else enumerate_basis(params, m, top - codim)  # middle: self-dual
-    factors = range(1, m + 1)
-    dual_groups = _group(dual, factors, params.n, complement=True)
+    sides = [(_block_monomials(m, matchings, free, degrees, n),
+              _block_monomials(m, matchings, free, [n - e for e in degrees], n))
+             for matchings, free, degrees in _gram_blocks(n, m, codim)]
+    key = TautMonomial.canonical_str  # the basis and the dual are the sorted unions of the two sides
+    basis = sorted([mono for row_monos, _ in sides for mono in row_monos], key=key)
+    dual = basis if 2 * codim == top else sorted([mono for _, col_monos in sides for mono in col_monos], key=key)
+    row_at = {mono: i for i, mono in enumerate(basis)}
+    col_at = row_at if dual is basis else {mono: i for i, mono in enumerate(dual)}  # middle: self-dual
     blocks: list[GramBlock] = []
     kernel: list[tuple[int, TautClass]] = []
-    for key, rows in _group(basis, factors, params.n).items():
-        cols = dual_groups.get(key, [])
-        entries = [[_mono_pairing(basis[r], dual[c], params) for c in cols] for r in rows]
-        block = GramBlock(tuple(rows), tuple(cols), RationalMatrix(entries, cols=len(cols)))
+    for row_monos, col_monos in sides:
+        rows, cols = tuple(map(row_at.__getitem__, row_monos)), tuple(map(col_at.__getitem__, col_monos))
+        entries = [[_mono_pairing(a, b, params) for b in col_monos] for a in row_monos]
+        block = GramBlock(rows, cols, RationalMatrix(entries, cols=len(cols)))
         blocks.append(block)
         _, vectors = rank_kernel(block.entries)
         for vec in vectors:
             free = max(i for i, c in enumerate(vec) if c)
-            terms = {basis[r]: c for r, c in zip(rows, vec) if c}
+            terms = {mono: c for mono, c in zip(row_monos, vec) if c}
             kernel.append((rows[free], TautClass(m, terms)))
+    blocks.sort(key=lambda block: block.rows[0])
     kernel.sort(key=lambda item: item[0])
     return GramReport(
         basis=tuple(basis),
@@ -237,9 +235,6 @@ def is_zero_in_cohomology(x: TautClass, params: ModelParams) -> bool:
     duals = []
     for key in dict.fromkeys(_dropped_key(mono, factors, n) for mono in x.terms):
         covered = tuple(f for f, e in zip(factors, key) if e < 0)
-        degrees = tuple((f, n - e) for f, e in zip(factors, key) if e >= 0)
-        duals += [
-            TautClass.from_monomial(_written(x.m, pairs, degrees, n))
-            for pairs in _matchings(covered, len(covered) // 2)
-        ]
+        free, degrees = [f for f, e in zip(factors, key) if e >= 0], [n - e for e in key if e >= 0]
+        duals += map(TautClass.from_monomial, _block_monomials(x.m, _perfect_matchings(covered), free, degrees, n))
     return all(value.is_zero for value in push_products(x, duals, (), params))

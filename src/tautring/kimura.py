@@ -142,9 +142,9 @@ def _matching_gram_rank(params: ModelParams, k: int) -> int:
     each, so the rank adds up f^(2 lambda) over the nonzero scalars.  A
     factor delta + 2j - i is 0 only at an integer delta = N, in the row
     i = N + 2j, and a shape of k has no row i >= k, so when delta is not an
-    integer, or k <= N, every matching counts.  Otherwise, at N >= 0, a
-    shape of more than N rows has the cell (N, 0), whose factor delta - N
-    is 0, so only shapes of at most N rows are generated.
+    integer, or k <= N, every matching counts.  At N >= 0 exactly the shapes
+    of at most N rows count (one more row has the cell (N, 0), of factor 0),
+    and only they are generated; a negative N filters shapes by eigenvalue.
     """
     delta = params.delta
     if delta.denominator != 1 or k <= delta:
@@ -152,7 +152,7 @@ def _matching_gram_rank(params: ModelParams, k: int) -> int:
     return sum(
         _doubled_shape_dimension(shape)
         for shape in _partitions(k, k, k if delta < 0 else int(delta))
-        if _matching_eigenvalue(shape, delta)
+        if delta >= 0 or _matching_eigenvalue(shape, delta)
     )
 
 

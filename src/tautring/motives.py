@@ -19,8 +19,8 @@ from .algebra import (
     TautClass,
     TautMonomial,
     _Validated,
+    _block_monomials,
     _sum,
-    _written,
     h_class,
     multiply,
     o_class,
@@ -95,7 +95,7 @@ def _kunneth(params: ModelParams, i: int, j: int) -> TautClass:
     """(1/d) h1^i h2^j on the square, exponents 0..n, as one monomial: h^n = d o."""
     n, d = params.n, params.d
     coeff = Fraction(d ** ((i == n) + (j == n)), d)
-    return TautClass.from_monomial(_written(2, (), ((1, i), (2, j)), n), coeff)
+    return TautClass.from_monomial(_block_monomials(2, [()], (1, 2), (i, j), n)[0], coeff)
 
 
 def diagonal_class(params: ModelParams) -> TautClass:
@@ -189,12 +189,12 @@ def small_diagonal(params: ModelParams) -> TautClass:
     """The triple diagonal on the cube, D_12 D_13 written term by term: t23 o1 + t13 o2 +
     t12 o3 + (1/d^2) h1^i h2^j h3^k over i + j + k = 2n with each exponent at most n."""
     n, d = params.n, params.d
-    terms = {_written(3, (pair,), ((f, n),), n): 1 for pair, f in (((2, 3), 1), ((1, 3), 2), ((1, 2), 3))}
+    terms = {_block_monomials(3, [(t,)], [f], [n], n)[0]: 1 for t, f in (((2, 3), 1), ((1, 3), 2), ((1, 2), 3))}
     coeffs = [Fraction(d**points, d * d) for points in range(3)]  # by the exponents equal to n
     for i in range(n + 1):
         for j in range(n - i, n + 1):
             k = 2 * n - i - j
-            terms[_written(3, (), ((1, i), (2, j), (3, k)), n)] = coeffs[(i == n) + (j == n) + (k == n)]
+            terms[_block_monomials(3, [()], (1, 2, 3), (i, j, k), n)[0]] = coeffs[(i == n) + (j == n) + (k == n)]
     return TautClass(3, terms)
 
 

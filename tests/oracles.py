@@ -110,7 +110,7 @@ from tautring import (
     tau_class,
     unit_class,
 )
-from tautring.algebra import _ONE, _matchings
+from tautring.algebra import _ONE
 from tautring.calculus import _mono_pairing
 from tautring.grammar import _terms, format_fraction
 from tautring.kimura import (
@@ -343,7 +343,7 @@ def _matching_gram_rank(params: ModelParams, k: int) -> int:
     """Rank r_k(delta) of the perfect-matching Gram matrix on 2k points,
     whose (mu, nu) entry is delta^cycles(mu union nu), by elimination."""
     points = tuple(range(1, 2 * k + 1))
-    monos = [TautMonomial(2 * k, pairs) for pairs in _matchings(points, k)]
+    monos = [TautMonomial(2 * k, pairs) for pairs in _all_matchings(points) if len(pairs) == k]
     return rank(RationalMatrix([[_mono_pairing(a, b, params) for b in monos] for a in monos]))
 
 

@@ -26,7 +26,7 @@ from tautring import (
     tau_class,
     unit_class,
 )
-from tautring.algebra import ResourceLimitError, _check_cap, _local_degrees, _mul_monomials, _sum, _written
+from tautring.algebra import ResourceLimitError, _check_cap, _local_degrees, _block_monomials, _mul_monomials, _sum
 import oracles
 from strategies import monomials
 
@@ -282,13 +282,14 @@ def test_enumerate_basis_matches_the_all_matchings_oracle(n, m):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_local_degrees_and_written_round_trip_every_basis_monomial(n):
+def test_local_degrees_and_block_monomials_round_trip_every_basis_monomial(n):
     params = ModelParams(n, 8, 3)
     for m in range(1, 6):
         for codim in range(m * n + 1):
             for mono in enumerate_basis(params, m, codim):
-                degrees = tuple(sorted(_local_degrees(mono, n).items()))
-                assert _written(m, mono.pairs, degrees, n) == mono == TautMonomial(*mono)
+                local = sorted(_local_degrees(mono, n).items())
+                free, degrees = [f for f, _ in local], [e for _, e in local]
+                assert _block_monomials(m, [mono.pairs], free, degrees, n) == [mono] == [TautMonomial(*mono)]
 
 
 def test_canonical_str_matches_the_tagged_locals_oracle_on_a_two_digit_basis():

@@ -1,6 +1,7 @@
 """Differential tests: the block Gram engine against the dense oracles, and
 the closed-form scan against the scan through full Gram reports."""
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -18,8 +19,9 @@ from tautring import (
     rank_kernel,
     scan_injectivity,
 )
+from tautring.algebra import _block_counts, _block_monomials, _gram_blocks
 from tautring.kimura import _matching_gram_rank
-from oracles import dense_gram, dense_is_zero_in_cohomology, gram_scan
+from oracles import basis_by_all_matchings, dense_gram, dense_is_zero_in_cohomology, gram_scan
 
 DELTAS = (None, Fraction(1, 2), Fraction(0))  # None: the model value b - 1
 
@@ -108,11 +110,16 @@ TWO_DIGIT_CELLS = [(m, codim) for m in (10, 11, 12) for codim in (2, 3, 4)]
 def test_each_block_is_symmetric_and_of_the_matching_rank(params):
     # gram eliminates each block as paired, which is its transpose only when
     # rows and columns run over the same matchings in the same order and the
-    # entries are symmetric; each block's rank is the scan's closed-form r_k
+    # entries are symmetric; each block's rank is the scan's closed-form r_k;
+    # each block's rows ascend (the canonical kernel needs it), and the blocks
+    # come by first row
     blocks = 0
     small = [(m, codim) for m in range(1, 6) for codim in range(m * params.n + 1)]
     for m, codim in small + TWO_DIGIT_CELLS:
         report = gram(params, m, codim)
+        assert all(list(block.rows) == sorted(block.rows) for block in report.blocks), (m, codim)
+        firsts = [block.rows[0] for block in report.blocks]
+        assert firsts == sorted(firsts), (m, codim)
         rank = 0
         for block in report.blocks:
             matchings = [report.basis[r].pairs for r in block.rows]
@@ -125,3 +132,18 @@ def test_each_block_is_symmetric_and_of_the_matching_rank(params):
         assert report.rank == rank, (m, codim)
         blocks += len(report.blocks)
     assert blocks > 7000
+
+
+@pytest.mark.parametrize("params", SYMMETRY_PROFILES, ids="n={0.n},d={0.d},b={0.b},delta={0.delta}".format)
+def test_the_block_enumeration_lists_each_basis_monomial_once(params):
+    # C(m, 2k) * A(m - 2k, codim - nk) blocks of k pairs, whose monomials are
+    # the basis, each once
+    n = params.n
+    small = [(m, codim) for m in range(1, 6) for codim in range(m * n + 1)]
+    for m, codim in small + TWO_DIGIT_CELLS:
+        blocks = list(_gram_blocks(n, m, codim))
+        per_k = Counter(len(matchings[0]) for matchings, _, _ in blocks)
+        assert dict(per_k) == {k: count for k, count in _block_counts(n, m, codim) if count}, (m, codim)
+        monos = [mono for block in blocks for mono in _block_monomials(m, *block, n)]
+        assert len(set(monos)) == len(monos) == basis_count(params, m, codim), (m, codim)
+        assert set(monos) == set(basis_by_all_matchings(params, m, codim)), (m, codim)

@@ -20,7 +20,7 @@ from tautring import (
     verify_kimura_vanishing,
 )
 from tautring import kimura
-from tautring.algebra import _matchings
+from tautring.algebra import _perfect_matchings
 from tautring.kimura import _matching_eigenvalue, _matching_gram_rank, _partitions
 import oracles
 
@@ -140,7 +140,7 @@ def test_kimura_pairing_matches_falling_factorial_for_all_matchings():
             element = kimura_element(params)
             base = falling_factorial_pairing(b, params.delta)
             crossings = 0
-            for pairs in _matchings(tuple(range(1, 2 * b + 1)), b):  # perfect matchings
+            for pairs in _perfect_matchings(tuple(range(1, 2 * b + 1))):
                 mono = TautMonomial(2 * b, pairs)
                 value = pair(element, TautClass.from_monomial(mono), params)
                 if all(i <= b < j for i, j in pairs):
