@@ -18,6 +18,7 @@ from .algebra import (
     monomial_codim,
     multiply,
     o_class,
+    push_products,
     tau_class,
     unit_class,
 )
@@ -29,7 +30,6 @@ from .calculus import (
     is_zero_in_cohomology,
     pair,
     pullback,
-    push_products,
     pushforward,
 )
 from .grammar import ParseError, format_class, parse_class

@@ -11,8 +11,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .algebra import (ModelParams, TautClass, TautMonomial, _block_monomials, _check_cell, _gram_blocks,
-                      _local_degrees, _mul_monomials, _perfect_matchings, class_codim, unit_class)
+from .algebra import (ModelParams, TautClass, TautMonomial, _block_monomials, _check_cell, _dropped_key, _gram_blocks,
+                      _moved, _mul_monomials, _perfect_matchings, class_codim, push_products, unit_class)
 from .linalg import RationalMatrix, rank_kernel
 
 
@@ -48,82 +48,6 @@ def pushforward(x: TautClass, kept: Iterable[int], params: ModelParams) -> TautC
     cancels against its top Kuenneth correction.
     """
     return push_products(x, (unit_class(x.m),), kept, params)[0]
-
-
-def _split(m: int, kept: Iterable[int]) -> tuple[dict[int, int], list[int]]:
-    """The kept factors, each mapped to its place in order, and the dropped
-    ones in order; kept factors are checked against m."""
-    kept = list(kept)
-    for f in kept:
-        if f.__class__ is not int or not 1 <= f <= m:  # 1.5 would pass the range check
-            raise ValueError(f"kept factor {f!r} out of range 1..{m}")
-    relabel = {f: i + 1 for i, f in enumerate(sorted(set(kept)))}
-    return relabel, [f for f in range(1, m + 1) if f not in relabel]
-
-
-def _moved(mono: TautMonomial, relabel: dict[int, int], m: int) -> TautMonomial:
-    """A monomial relabelled onto m factors.  Every unlabelled factor must
-    carry o, which is integrated out (to 1)."""
-    return TautMonomial(
-        m,
-        tuple((relabel[i], relabel[j]) for i, j in mono.pairs),
-        tuple((relabel[f], e) for f, e in mono.hpows),
-        tuple(relabel[f] for f in mono.opoints if f in relabel),
-    )
-
-
-def _dropped_key(
-    mono: TautMonomial, dropped: Sequence[int], n: int, complement: bool = False
-) -> tuple:
-    """Per dropped factor: -1 where a tau edge covers it, else its local
-    degree (0 unit, n point class), or n minus that with `complement`.
-
-    This is the block rule of the pairing.  A term product carries o on a
-    dropped factor exactly when both terms cover it by tau (it lies inside
-    a path or on a cycle), or neither does and their local degrees sum to
-    n.  So the product of an x term and a y term survives a pushforward
-    only when the x key equals the complemented y key; over all factors,
-    two monomials pair to nonzero only when tau covers the same factors in
-    both and their local degrees are complementary on every other factor.
-    """
-    covered = {f for p in mono.pairs for f in p}
-    local = _local_degrees(mono, n)
-    if complement:
-        return tuple(-1 if f in covered else n - local.get(f, 0) for f in dropped)
-    return tuple(-1 if f in covered else local.get(f, 0) for f in dropped)
-
-
-def push_products(
-    x: TautClass, ys: Iterable[TautClass], kept: Iterable[int], params: ModelParams
-) -> list[TautClass]:
-    """[pushforward(multiply(x, y), kept) for y in ys], forming only the
-    term products that survive the pushforward.
-
-    x's terms are grouped once by `_dropped_key`, and each y term is
-    multiplied only with the group under its complemented key.
-    """
-    relabel, dropped = _split(x.m, kept)
-    n, m_kept = params.n, len(relabel)
-    groups: dict[tuple, list[tuple[TautMonomial, Fraction]]] = {}
-    for mono, coeff in x._terms.items():
-        groups.setdefault(_dropped_key(mono, dropped, n), []).append((mono, coeff))
-    out = []
-    for y in ys:
-        if x.m != y.m:
-            raise ValueError(f"factor count mismatch: {x.m} != {y.m}")
-        acc: dict[TautMonomial, Fraction] = {}
-        for mb, cb in y._terms.items():
-            for ma, ca in groups.get(_dropped_key(mb, dropped, n, complement=True), ()):
-                result = _mul_monomials(ma, mb, params)
-                if result is None:
-                    continue
-                coeff, mono = result
-                moved = _moved(mono, relabel, m_kept)
-                coeff *= ca * cb
-                prev = acc.get(moved)
-                acc[moved] = coeff if prev is None else prev + coeff
-        out.append(TautClass(m_kept, acc))
-    return out
 
 
 def pair(x: TautClass, y: TautClass, params: ModelParams) -> Fraction:

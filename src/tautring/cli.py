@@ -469,6 +469,8 @@ def _run(argv: list[str]) -> int:
             status = "pass" if all(results[key] for key in command.checks) else "fail"
         except ResourceLimitError as exc:  # a cap reached is still a report
             status, results = "error", {"error": str(exc)}
+            if args.format == "csv":  # the table has no place for the reason
+                print(f"error: {exc}", file=sys.stderr)
             if exc.partial is not None:  # the rows a scan finished
                 results["rows"] = exc.partial
         sys.stdout.write(_RENDERERS[args.format](_report_dict(args, params, results, status, start)))

@@ -20,13 +20,15 @@ from .algebra import (
     TautMonomial,
     _Validated,
     _block_monomials,
+    _dropped_key,
     _sum,
     h_class,
     multiply,
     o_class,
+    push_products,
     tau_class,
 )
-from .calculus import _dropped_key, pair, pullback, push_products
+from .calculus import pair, pullback
 from .grammar import format_class
 
 

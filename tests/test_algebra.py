@@ -26,7 +26,9 @@ from tautring import (
     tau_class,
     unit_class,
 )
-from tautring.algebra import ResourceLimitError, _check_cap, _local_degrees, _block_monomials, _mul_monomials, _sum
+from tautring import algebra
+from tautring.algebra import (ResourceLimitError, _check_cap, _dropped_key, _local_degrees, _block_monomials,
+                              _mul_monomials, _sum)
 import oracles
 from strategies import monomials
 
@@ -406,6 +408,40 @@ def test_normal_form_idempotence_on_random_monomials():
         mono = random_monomial(rng, rng.randint(1, 4), params.n)
         cls = TautClass.from_monomial(mono)
         assert multiply(cls, unit_class(mono.m), params) == cls
+
+
+def test_multiply_forms_each_term_product_once_and_relabels_none(monkeypatch):
+    # multiply is push_products along no factor: one group, so every x term
+    # meets every y term once, and the identity relabelling is skipped
+    rng = Random(34)
+    x, y = (TautClass(4, {mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                          for mono in rng.sample(enumerate_basis(P28_3, 4, codim), 12)}) for codim in (3, 4))
+    products = []  # the sum of the term products, formed here one by one
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            if (product := _mul_monomials(ma, mb, P28_3)) is not None:
+                products.append(TautClass.from_monomial(product[1], product[0] * ca * cb))
+    expected = _sum(products, 4)
+    calls = {"_mul_monomials": 0, "_moved": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(algebra, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(algebra, name, counted)
+    assert multiply(x, y, P28_3) == expected and not expected.is_zero
+    assert calls == {"_mul_monomials": len(x.terms) * len(y.terms), "_moved": 0}
+
+
+def test_multiply_refuses_a_class_on_other_factors():
+    with pytest.raises(ValueError, match=r"^factor count mismatch: 2 != 3$"):
+        multiply(unit_class(2), unit_class(3), P28_3)
+
+
+def test_the_block_key_over_no_dropped_factor_is_empty():
+    mono = TautMonomial(4, pairs=((1, 3),), hpows=((2, 1),), opoints=(4,))
+    assert _dropped_key(mono, (), 2) == () == _dropped_key(mono, (), 2, complement=True)
+    assert _dropped_key(mono, (1, 2, 3, 4), 2) == (-1, 1, -1, 2)
 
 
 @given(n=st.sampled_from((2, 4, 6)), m=st.integers(min_value=1, max_value=8))

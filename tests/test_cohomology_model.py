@@ -90,8 +90,10 @@ def test_the_model_sees_the_loop_value_and_the_degree():
 
 
 # Y at n in {2, 4}, and the double plane, at each integer loop value N = 0..5
-# with b = N + 1, so that delta = b - 1 = N and H*(Y) has n + 1 + N basis vectors
-MOTIVE_PROFILES = [ModelParams(n, d, N + 1) for n, d in ((2, 8), (2, 2), (4, 8)) for N in range(6)]
+# with b = N + 1, so that delta = b - 1 = N and H*(Y) has n + 1 + N basis vectors;
+# and the K3 value N = 21 (b = 22) on the surfaces
+MOTIVE_PROFILES = [ModelParams(n, d, N + 1) for n, d in ((2, 8), (2, 2), (4, 8)) for N in range(6)] + [
+    ModelParams(2, 8, 22), ModelParams(2, 2, 22)]
 
 
 def _graded_basis(params: ModelParams) -> list[tuple[int, int]]:
