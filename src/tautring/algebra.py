@@ -403,12 +403,13 @@ def class_codim(x: TautClass, params: ModelParams) -> int | None:
 
 
 def _local_assignments(count: int, total: int, n: int) -> list[tuple[int, ...]]:
-    # the local degrees, each in 0..n, of `count` factors in order summing to
-    # `total`; a factor takes only the degrees from which the rest can reach it
-    if count == 0:
-        return [()]
-    return [(deg, *rest) for deg in range(max(0, total - n * (count - 1)), min(n, total) + 1)
-            for rest in _local_assignments(count - 1, total - deg, n)]
+    # the local degrees, each in 0..n, of `count` factors in order summing to `total`: a
+    # factor takes only the degrees from which those after it reach `total`, the last what is left
+    assignments = [(total,)]  # each: the degrees placed, then what is left for the rest
+    for after in range(count - 1, 0, -1):
+        assignments = [(*placed, deg, left - deg) for *placed, left in assignments
+                       for deg in range(max(0, left - n * after), min(n, left) + 1)]
+    return assignments if count else [()]
 
 
 def _perfect_matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -21,12 +21,14 @@ from .algebra import (
     _Validated,
     _block_monomials,
     _dropped_key,
+    _gram_blocks,
+    _local_assignments,
+    _local_degrees,
     _sum,
     h_class,
     multiply,
     o_class,
     push_products,
-    tau_class,
 )
 from .calculus import pair, pullback
 from .grammar import format_class
@@ -93,17 +95,22 @@ class Gamma3Solution(namedtuple("Gamma3Solution", "coefficients residual")):
     __slots__ = ()
 
 
-def _kunneth(params: ModelParams, i: int, j: int) -> TautClass:
-    """(1/d) h1^i h2^j on the square, exponents 0..n, as one monomial: h^n = d o."""
+def _cell(params: ModelParams, m: int, codim: int) -> TautClass:
+    """Every monomial of the cell (m, codim), weighted d^(pairs + points) / d^(m - 1): the one
+    written class that applies h^n = d o, so an h-monomial with an exponent n carries its d."""
     n, d = params.n, params.d
-    coeff = Fraction(d ** ((i == n) + (j == n)), d)
-    return TautClass.from_monomial(_block_monomials(2, [()], (1, 2), (i, j), n)[0], coeff)
+    weights = [Fraction(d**e, d ** (m - 1)) for e in range(m + 1)]  # pairs + points <= m
+    terms = {}
+    for matchings, free, degrees in _gram_blocks(n, m, codim):
+        weight = weights[len(matchings[0]) + degrees.count(n)]
+        for mono in _block_monomials(m, matchings, free, degrees, n):
+            terms[mono] = weight
+    return TautClass(m, terms)
 
 
 def diagonal_class(params: ModelParams) -> TautClass:
-    """The diagonal on the square: tau plus the full Kuenneth h-sum."""
-    n = params.n
-    return _sum((tau_class(2, 1, 2), *(_kunneth(params, n - j, j) for j in range(n + 1))), 2)
+    """The diagonal on the square, the cell (2, n): tau plus (1/d) h1^i h2^j over i + j = n."""
+    return _cell(params, 2, params.n)
 
 
 def diagonal(params: ModelParams) -> Correspondence:
@@ -154,12 +161,13 @@ def tensor(f: Correspondence, g: Correspondence, params: ModelParams) -> Corresp
 
 
 def ck_projectors(params: ModelParams) -> ProjectorSet:
-    """The projector family: (1/d) h^(n-j) x h^j off the middle degree,
-    and tau + (1/d) h^(n/2) x h^(n/2) in the middle."""
+    """The diagonal split by the local degree j on factor 2: pi^(2j) is
+    (1/d) h^(n-j) x h^j, and tau goes into the middle pi^n."""
     n = params.n
-    classes = {2 * j: _kunneth(params, n - j, j) for j in range(n + 1)}
-    classes[n] = tau_class(2, 1, 2) + classes[n]
-    return ProjectorSet(params, {k: Correspondence(cls, 1, 1) for k, cls in classes.items()})
+    pieces = {k: {} for k in range(0, 2 * n + 1, 2)}
+    for mono, c in diagonal_class(params).terms.items():
+        pieces[n if mono.pairs else 2 * _local_degrees(mono, n).get(2, 0)][mono] = c
+    return ProjectorSet(params, {k: Correspondence(TautClass(2, terms), 1, 1) for k, terms in pieces.items()})
 
 
 def verify_ck(ps: ProjectorSet) -> CkReport:
@@ -188,16 +196,9 @@ def verify_ck(ps: ProjectorSet) -> CkReport:
 
 
 def small_diagonal(params: ModelParams) -> TautClass:
-    """The triple diagonal on the cube, D_12 D_13 written term by term: t23 o1 + t13 o2 +
+    """The triple diagonal on the cube, D_12 D_13, the cell (3, 2n): t23 o1 + t13 o2 +
     t12 o3 + (1/d^2) h1^i h2^j h3^k over i + j + k = 2n with each exponent at most n."""
-    n, d = params.n, params.d
-    terms = {_block_monomials(3, [(t,)], [f], [n], n)[0]: 1 for t, f in (((2, 3), 1), ((1, 3), 2), ((1, 2), 3))}
-    coeffs = [Fraction(d**points, d * d) for points in range(3)]  # by the exponents equal to n
-    for i in range(n + 1):
-        for j in range(n - i, n + 1):
-            k = 2 * n - i - j
-            terms[_block_monomials(3, [()], (1, 2, 3), (i, j, k), n)[0]] = coeffs[(i == n) + (j == n) + (k == n)]
-    return TautClass(3, terms)
+    return _cell(params, 3, 2 * params.n)
 
 
 def verify_mck(params: ModelParams) -> MckReport:
@@ -248,16 +249,14 @@ def act(f: Correspondence, x: TautClass, params: ModelParams) -> TautClass:
 def expand_diagonal_times_h(params: ModelParams, factor: int) -> TautClass:
     """Product of the diagonal with h on one factor, in normal form.
 
-    The result must equal the closed Kuenneth form
+    The result must equal the closed Kuenneth form, the cell (2, n + 1):
     (1/d) * sum_k h^k x h^(n+1-k) over k = 1..n; a mismatch would mean the
     model relations are broken, and raises ArithmeticError.
     """
     if factor not in (1, 2):
         raise ValueError("factor must be 1 or 2")
-    n = params.n
     product = multiply(diagonal_class(params), h_class(params, 2, factor, 1), params)
-    expected = _sum((_kunneth(params, k, n + 1 - k) for k in range(1, n + 1)), 2)
-    if product != expected:
+    if product != _cell(params, 2, params.n + 1):
         raise ArithmeticError("diagonal-times-h expansion does not match its closed form")
     return product
 
@@ -278,7 +277,7 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
     corrections = (multiply(pullback(diag, 3, factors), o_class(3, other), params)
                    for factors, other in (((1, 2), 3), ((1, 3), 2), ((2, 3), 1)))
     gap = small_diagonal(params) - _sum(corrections, 3)
-    coefficients = {(i, j, 2 * n - i - j): Fraction(0) for i in range(n + 1) for j in range(n - i, n + 1)}
+    coefficients = dict.fromkeys(_local_assignments(3, 2 * n, n), Fraction(0))
     residual: dict[TautMonomial, Fraction] = {}
     for mono, c in gap.terms.items():
         key = _dropped_key(mono, (1, 2, 3), n)  # -1 on a factor tau covers

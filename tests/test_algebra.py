@@ -27,8 +27,8 @@ from tautring import (
     unit_class,
 )
 from tautring import algebra
-from tautring.algebra import (ResourceLimitError, _check_cap, _dropped_key, _local_degrees, _block_monomials,
-                              _mul_monomials, _sum)
+from tautring.algebra import (ResourceLimitError, _check_cap, _dropped_key, _local_assignments, _local_degrees,
+                              _block_monomials, _mul_monomials, _sum)
 import oracles
 from strategies import monomials
 
@@ -442,6 +442,14 @@ def test_the_block_key_over_no_dropped_factor_is_empty():
     mono = TautMonomial(4, pairs=((1, 3),), hpows=((2, 1),), opoints=(4,))
     assert _dropped_key(mono, (), 2) == () == _dropped_key(mono, (), 2, complement=True)
     assert _dropped_key(mono, (1, 2, 3, 4), 2) == (-1, 1, -1, 2)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("count", range(5))
+def test_local_assignments_are_the_product_tuples_that_reach_the_total_in_order(count, n):
+    for total in range(count * n + 1):
+        expected = [t for t in itertools.product(range(n + 1), repeat=count) if sum(t) == total]
+        assert _local_assignments(count, total, n) == expected, total
 
 
 @given(n=st.sampled_from((2, 4, 6)), m=st.integers(min_value=1, max_value=8))

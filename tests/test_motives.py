@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from tautring import (
     Correspondence,
     ModelParams,
+    basis_count,
     ProjectorSet,
     TautClass,
     TautMonomial,
@@ -501,6 +502,48 @@ def test_solve_gamma3_matches_linear_solve(params):
     solution, oracle = solve_gamma3(params), oracles.solve_gamma3(params)
     assert list(solution.coefficients.items()) == list(oracle.coefficients.items())
     assert solution.residual == oracle.residual
+
+
+@pytest.mark.parametrize("n", [2, 4, 12])
+def test_solve_gamma3_keys_its_coefficients_in_exponent_order(n):
+    expected = [(i, j, 2 * n - i - j) for i in range(n + 1) for j in range(n - i, n + 1)]
+    assert list(solve_gamma3(_y(n)).coefficients) == expected
+
+
+@pytest.mark.parametrize(
+    "n, d, b", [(2, 8, 22), (4, 8, 44), (12, 8, 212), (40, 8, 1808), (2, 2, 22), (2, 2, 8), (6, 3, 5)]
+)
+def test_solve_gamma3_gives_p_minus_one_over_d_squared(n, d, b):
+    # a tau-free term of the small diagonal with p point classes has
+    # coefficient d^(p-2) and lies in exactly p of the three D_ij o_k, each
+    # with d^(p-2): the gap there is (1 - p) d^(p-2), so a_ijk = (p - 1)/d^2,
+    # and the tau-point terms cancel
+    solution = solve_gamma3(ModelParams(n, d, b))
+    expected = {}
+    for i in range(n + 1):
+        for j in range(n + 1):
+            k = 2 * n - i - j
+            if 0 <= k <= n:
+                expected[(i, j, k)] = Fraction([i, j, k].count(n) - 1, d * d)
+    assert solution.coefficients == expected
+    assert solution.residual.is_zero
+
+
+@pytest.mark.parametrize("params", [_y(2), _y(4), _y(12), DP], ids=["n2", "n4", "n12", "double-plane"])
+def test_each_written_class_is_its_whole_cell(params):
+    n = params.n
+    diag = diagonal_class(params)
+    assert len(diag.terms) == basis_count(params, 2, n)
+    assert len(small_diagonal(params).terms) == basis_count(params, 3, 2 * n)
+    for factor in (1, 2):
+        assert len(expand_diagonal_times_h(params, factor).terms) == basis_count(params, 2, n + 1)
+    ps = ck_projectors(params)
+    pieces = [ps[k].cls.terms for k in ps.indices()]
+    merged = {}
+    for piece in pieces:
+        assert piece and merged.keys().isdisjoint(piece)
+        merged.update(piece)
+    assert merged == diag.terms
 
 
 def test_solve_gamma3_leaves_the_stray_term_when_no_polynomial_cancels(monkeypatch):
