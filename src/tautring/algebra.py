@@ -127,11 +127,23 @@ def _claim(factor: int, m: int, used: set[int]) -> None:
     used.add(factor)
 
 
-def _local_degrees(mono: TautMonomial, n: int) -> dict[int, int]:
-    """Each factor that carries a local class, mapped to its degree (o read as n)."""
-    degrees = dict(mono.hpows)
-    degrees.update(dict.fromkeys(mono.opoints, n))
-    return degrees
+def _codes(mono: TautMonomial, params: ModelParams) -> list[int] | None:
+    """The monomial read once, as one code per factor (index 0 counts the
+    d's its raw powers close with): -partner on a tau-covered factor, else
+    the local degree, 0 the unit and n the point class.  A raw h^n reads as
+    o times one d; a raw power above n makes the monomial zero (None)."""
+    n = params.n
+    codes = [0] * (mono.m + 1)
+    for i, j in mono.pairs:
+        codes[i], codes[j] = -j, -i
+    for f in mono.opoints:
+        codes[f] = n
+    for f, e in mono.hpows:
+        if e > n:
+            return None
+        codes[0] += e == n
+        codes[f] = e
+    return codes
 
 
 def monomial_codim(mono: TautMonomial, params: ModelParams) -> int:
@@ -258,84 +270,65 @@ def h_class(params: ModelParams, m: int, i: int, exp: int = 1) -> TautClass:
     return multiply(TautClass.from_monomial(raw), unit_class(m), params)
 
 
-_ONE = Fraction(1)  # shared: most products have coefficient 1
-
-
-def _mul_monomials(
-    a: TautMonomial, b: TautMonomial, params: ModelParams
-) -> tuple[Fraction, TautMonomial] | None:
-    """Normal form of a monomial product; None when the product is zero.
+def _product(a: list[int], b: list[int], at: Sequence[int], m: int,
+             params: ModelParams) -> tuple[Fraction | int, TautMonomial] | None:
+    """Normal form of the product of two monomials read by `_codes`, written on
+    m factors: factor f goes to at[f], and a factor with at[f] == 0 is dropped,
+    which it may be only where the product carries o.  None when it is zero.
 
     The product contracts the union of the two tau matchings, in which
     every factor has degree at most two.  Every factor that both sides
-    cover by tau gets o.  One walk, alternating sides, goes from each
-    path end to the other end (one tau between the ends) and from each
-    doubly covered factor left over round a cycle (one factor delta).
-    A local class on a factor the other side covers by tau kills the
-    term.  Locals on a free factor add: a sum of n (a raw h^n too) closes
-    to d*o unless it is an o carried in, and a sum above n is zero.  The
-    fields come out in canonical order, so no second validation is made.
+    cover by tau gets o.  A walk, alternating sides, goes from each path
+    end to the other end (one tau between the ends, written from the lower
+    end), and round each cycle once, from its least factor (one factor
+    delta).  A local class on a factor the other side covers by tau kills
+    the term.  Locals on a free factor add: h^x * h^(n-x) closes to d*o,
+    a sum above n is zero.  The factors are read in order, so the fields
+    come out canonical and are not validated again.
     """
     n = params.n
-    la, lb = _local_degrees(a, n), _local_degrees(b, n)
-    pairs: list[tuple[int, int]] = []
-    opoints: list[int] = []
+    closures = a[0] + b[0]  # the d's: each raw h^n read as o, then each h^x * h^(n-x)
+    pairs, hpows, opoints, both = [], [], [], []
+    for f in range(1, len(a)):
+        x, y = a[f], b[f]
+        if x < 0 or y < 0:
+            if x > 0 or y > 0:  # a local on a factor the other side covers
+                return None
+            if x and y:  # inside a path or on a cycle
+                both.append(f)
+                if at[f]:
+                    opoints.append(at[f])
+            else:  # a path end
+                side, other, end = (a, b, f) if x else (b, a, f)
+                while other[end := -side[end]] < 0:
+                    side, other = other, side
+                if f < end:
+                    pairs.append((at[f], at[end]))
+        elif (s := x + y) == n:
+            if x and y:
+                closures += 1
+            if at[f]:
+                opoints.append(at[f])
+        elif s > n:
+            return None
+        elif s:
+            hpows.append((at[f], s))
     cycles = 0
-    if a.pairs or b.pairs:
-        pa, pb = dict(a.pairs), dict(b.pairs)  # each factor's tau partner
-        pa.update((j, i) for i, j in a.pairs)
-        pb.update((j, i) for i, j in b.pairs)
-        if not pa.keys().isdisjoint(lb) or not pb.keys().isdisjoint(la):
-            return None
-        both = pa.keys() & pb.keys()
-        opoints.extend(both)
-        seen: set[int] = set()
-        for v in (*(pa.keys() ^ pb.keys()), *both):  # the path ends first
-            if v in seen:
-                continue
-            side, cur = (pa if v in pa else pb), v
-            while True:
-                cur = side[cur]
-                seen.add(cur)
-                if cur not in both:
-                    pairs.append((v, cur) if v < cur else (cur, v))
-                    break
-                if cur == v:
-                    cycles += 1
-                    break
-                side = pb if side is pa else pa
-        if cycles and not params.delta:
-            return None
-        pairs.sort()
-
-    scale = 1  # the powers of d, kept as an int until the end
-    hpows: list[tuple[int, int]] = []
-    for f in sorted(la.keys() | lb.keys()):
-        s = la.get(f, 0) + lb.get(f, 0)
-        if s > n:
-            return None
-        if s == n:
-            if f not in a.opoints and f not in b.opoints:
-                scale *= params.d  # an h^n, raw or h^x * h^(n-x), closes to d * o
-            opoints.append(f)
-        else:
-            hpows.append((f, s))
-    opoints.sort()
-    mono = tuple.__new__(TautMonomial, (a.m, tuple(pairs), tuple(hpows), tuple(opoints)))
-    if cycles:
-        return params.delta**cycles * scale, mono
-    return (_ONE if scale == 1 else Fraction(scale)), mono
+    for v in both:  # a walk that meets a lower factor or a path end counts no cycle
+        side, other, cur = a, b, v
+        while (cur := -side[cur]) > v and other[cur] < 0:
+            side, other = other, side
+        cycles += cur == v
+    if cycles and not params.delta:
+        return None
+    mono = tuple.__new__(TautMonomial, (m, tuple(pairs), tuple(hpows), tuple(opoints)))
+    return (params.delta**cycles if cycles else 1) * params.d**closures, mono
 
 
-def _split(m: int, kept: Iterable[int]) -> tuple[dict[int, int], list[int]]:
-    """The kept factors, each mapped to its place in order, and the dropped
-    ones in order; kept factors are checked against m."""
-    kept = list(kept)
-    for f in kept:
-        if f.__class__ is not int or not 1 <= f <= m:  # 1.5 would pass the range check
-            raise ValueError(f"kept factor {f!r} out of range 1..{m}")
-    relabel = {f: i + 1 for i, f in enumerate(sorted(set(kept)))}
-    return relabel, [f for f in range(1, m + 1) if f not in relabel]
+def _mul_monomials(a: TautMonomial, b: TautMonomial, params: ModelParams) -> tuple[Fraction | int, TautMonomial] | None:
+    """Normal form of a monomial product (see `_product`); None when it is zero."""
+    codes = _codes(a, params), _codes(b, params)
+    return None if None in codes else _product(*codes, range(a.m + 1), a.m, params)
 
 
 def _moved(mono: TautMonomial, relabel: dict[int, int], m: int) -> TautMonomial:
@@ -353,30 +346,39 @@ def push_products(x: TautClass, ys: Iterable[TautClass], kept: Iterable[int], pa
     """[pushforward(multiply(x, y), kept) for y in ys], forming only the
     term products that survive the pushforward.
 
-    x's terms are grouped once by `_dropped_key`, and each y term is
-    multiplied only with the group under its complemented key.  With no
-    factor dropped there is one group and the relabelling is the identity,
-    so the products are kept as formed: that is `multiply`.
+    Each term is read by `_codes` once.  x's terms are grouped by
+    `_dropped_key`, and each y term is multiplied only with the group under
+    its complemented key, by `_product`, which writes the kept factors in
+    their new places.  With no factor dropped there is one group: that is
+    `multiply`.
     """
-    relabel, dropped = _split(x.m, kept)
-    n, m_kept = params.n, len(relabel)
-    groups: dict[tuple, list[tuple[TautMonomial, Fraction]]] = {}
+    kept = list(kept)
+    for f in kept:
+        if f.__class__ is not int or not 1 <= f <= x.m:  # 1.5 would pass the range check
+            raise ValueError(f"kept factor {f!r} out of range 1..{x.m}")
+    at = [0] * (x.m + 1)  # each factor's place among the kept ones, 0 where it is dropped
+    for i, f in enumerate(sorted(set(kept))):
+        at[f] = i + 1
+    dropped = [f for f in range(1, x.m + 1) if not at[f]]
+    n, m_kept = params.n, x.m - len(dropped)
+    groups: dict[tuple, list[tuple[list[int], Fraction]]] = {}
     for mono, coeff in x._terms.items():
-        groups.setdefault(_dropped_key(mono, dropped, n), []).append((mono, coeff))
+        if (codes := _codes(mono, params)) is not None:
+            groups.setdefault(_dropped_key(codes, dropped, n), []).append((codes, coeff))
     out = []
     for y in ys:
         if x.m != y.m:
             raise ValueError(f"factor count mismatch: {x.m} != {y.m}")
         acc: dict[TautMonomial, Fraction] = {}
         for mb, cb in y._terms.items():
-            for ma, ca in groups.get(_dropped_key(mb, dropped, n, complement=True), ()):
-                result = _mul_monomials(ma, mb, params)
+            if (b := _codes(mb, params)) is None:
+                continue
+            for a, ca in groups.get(_dropped_key(b, dropped, n, complement=True), ()):
+                result = _product(a, b, at, m_kept, params)
                 if result is None:
                     continue
-                coeff, mono = result
-                if dropped:
-                    mono = _moved(mono, relabel, m_kept)
-                coeff *= ca * cb
+                scale, mono = result
+                coeff = ca * cb if scale == 1 else ca * cb * scale
                 prev = acc.get(mono)
                 acc[mono] = coeff if prev is None else prev + coeff
         out.append(TautClass(m_kept, acc))
@@ -451,9 +453,10 @@ def _gram_blocks(n: int, m: int, codim: int) -> Iterator[tuple[list, list[int], 
                 yield matchings, free, degrees
 
 
-def _dropped_key(mono: TautMonomial, dropped: Sequence[int], n: int, complement: bool = False) -> tuple:
-    """Per dropped factor: -1 where a tau edge covers it, else its local
-    degree (0 unit, n point class), or n minus that with `complement`.
+def _dropped_key(codes: list[int], dropped: Sequence[int], n: int, complement: bool = False) -> tuple:
+    """Per dropped factor of a monomial read by `_codes`: -1 where a tau edge
+    covers it, else its local degree (0 unit, n point class), or n minus
+    that with `complement`.
 
     This is the block rule of the pairing.  A term product carries o on a
     dropped factor exactly when both terms cover it by tau (it lies inside
@@ -463,13 +466,7 @@ def _dropped_key(mono: TautMonomial, dropped: Sequence[int], n: int, complement:
     two monomials pair to nonzero only when tau covers the same factors in
     both and their local degrees are complementary on every other factor.
     """
-    if not dropped:  # a product kept whole: one group, no key to read
-        return ()
-    covered = {f for p in mono.pairs for f in p}
-    local = _local_degrees(mono, n)
-    if complement:
-        return tuple(-1 if f in covered else n - local.get(f, 0) for f in dropped)
-    return tuple(-1 if f in covered else local.get(f, 0) for f in dropped)
+    return tuple(-1 if codes[f] < 0 else n - codes[f] if complement else codes[f] for f in dropped)
 
 
 def _block_monomials(m: int, matchings: Iterable, free: Iterable[int], degrees: Iterable[int], n: int) -> list:

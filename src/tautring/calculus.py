@@ -11,8 +11,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .algebra import (ModelParams, TautClass, TautMonomial, _block_monomials, _check_cell, _dropped_key, _gram_blocks,
-                      _moved, _mul_monomials, _perfect_matchings, class_codim, push_products, unit_class)
+from .algebra import (ModelParams, TautClass, TautMonomial, _block_monomials, _check_cell, _codes, _dropped_key,
+                      _gram_blocks, _moved, _mul_monomials, _perfect_matchings, class_codim, push_products, unit_class)
 from .linalg import RationalMatrix, rank_kernel
 
 
@@ -59,12 +59,7 @@ def pair(x: TautClass, y: TautClass, params: ModelParams) -> Fraction:
 def _mono_pairing(a: TautMonomial, b: TautMonomial, params: ModelParams) -> Fraction:
     """Pairing of two monomials: the top coefficient of their product."""
     result = _mul_monomials(a, b, params)
-    if result is None:
-        return Fraction(0)
-    coeff, mono = result
-    if mono.pairs or mono.hpows or len(mono.opoints) != mono.m:
-        return Fraction(0)
-    return coeff
+    return result[0] if result and len(result[1].opoints) == a.m else Fraction(0)  # o on every factor
 
 
 class GramBlock(namedtuple("GramBlock", "rows cols entries")):
@@ -157,7 +152,7 @@ def is_zero_in_cohomology(x: TautClass, params: ModelParams) -> bool:
     class_codim(x, params)  # raises on inhomogeneous input
     n, factors = params.n, range(1, x.m + 1)
     duals = []
-    for key in dict.fromkeys(_dropped_key(mono, factors, n) for mono in x.terms):
+    for key in dict.fromkeys(_dropped_key(_codes(mono, params), factors, n) for mono in x.terms):
         covered = tuple(f for f, e in zip(factors, key) if e < 0)
         free, degrees = [f for f, e in zip(factors, key) if e >= 0], [n - e for e in key if e >= 0]
         duals += map(TautClass.from_monomial, _block_monomials(x.m, _perfect_matchings(covered), free, degrees, n))

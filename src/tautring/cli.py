@@ -201,14 +201,16 @@ def _resolve_params(args: SimpleNamespace) -> ModelParams:
         raise UsageError(f"--delta {args.delta} has a zero denominator") from None
 
 
-def _check_caps(params, m, codim=None):
+def _check_caps(params, m, codim=None, codim_text=None):
     """Refuse more than FACTOR_CAP factors, or a basis over BASIS_CAP
     monomials, before any work; inputs out of range are left to the
-    library's own errors."""
+    library's own errors.  A verifier's codim is written as `codim_text`,
+    in n, and its size not at all: at a huge n either is too long to write."""
     _check_cap(m, FACTOR_CAP, f"m={m} is over the factor cap {FACTOR_CAP}")
     if codim is not None and m >= 1 and 0 <= codim <= m * params.n:
         size = basis_count(params, m, codim)
-        message = f"basis at m={m}, codim={codim} has {size} monomials, over the cap {BASIS_CAP}"
+        message = (f"basis at m={m}, codim={codim} has {size} monomials, over the cap {BASIS_CAP}" if codim_text is None
+                   else f"basis at m={m}, codim={codim_text} is over the cap {BASIS_CAP}")
         _check_cap(size, BASIS_CAP, message)
 
 
@@ -291,8 +293,11 @@ def _cmd_euler(args, params):
 
 # A command: its help line; its options after the common ones; run(args,
 # params) -> results; the columns and records of its table (see _table);
-# and checks, the results keys that must all be true for status pass.
-Command = namedtuple("Command", "help options run columns records checks", defaults=(None, ()))
+# checks, the results keys that must all be true for status pass; and for a
+# verifier, cell(n) -> (m, codim, codim's text), the largest cell it writes.
+Command = namedtuple("Command", "help options run columns records checks cell", defaults=(None, (), None))
+_SMALL_DIAGONAL = lambda n: (3, 2 * n, "2n")
+_DIAGONAL_TIMES_H = lambda n: (2, n + 1, "n+1")
 
 # name -> Command, in the order of --help.  A command that reports a library
 # record returns its fields as the results, the values left as they are.
@@ -304,17 +309,17 @@ COMMANDS = {
     "gram": Command("Gram matrix rank and kernel", _M_CODIM, _cmd_gram,
                     ("basis_size", "dual_size", "rank", "deficiency")),
     "verify-ck": Command("projector axioms", (), lambda a, p: verify_ck(ck_projectors(p))._asdict(),
-                         ("name", "ok", "detail"), "checks", ("passed",)),
+                         ("name", "ok", "detail"), "checks", ("passed",), _DIAGONAL_TIMES_H),
     "verify-mck": Command("multiplicativity of the projectors", (),
                           lambda a, p: verify_mck(p)._asdict(),
-                          ("i", "j", "k", "required_zero", "zero", "ok"), "cases", ("passed",)),
+                          ("i", "j", "k", "required_zero", "zero", "ok"), "cases", ("passed",), _SMALL_DIAGONAL),
     "lemma-ok": Command("diagonal-times-h expansion", (), _cmd_lemma_ok, ("factor", "equal"),
-                        "checks", ("passed",)),
+                        "checks", ("passed",), _DIAGONAL_TIMES_H),
     "gamma3": Command("modified small diagonal solve", (), _cmd_gamma3,
                       ("i", "j", "k", "coefficient"), "coefficients",
-                      ("residual_zero", "symmetric")),
+                      ("residual_zero", "symmetric"), _SMALL_DIAGONAL),
     "euler": Command("Euler characteristic identity", (), _cmd_euler,
-                     ("value", "expected", "match"), checks=("match",)),
+                     ("value", "expected", "match"), checks=("match",), cell=_DIAGONAL_TIMES_H),
     "kimura": Command("alternating relation vanishing",
                       (("--cap-b", {"type": int, "default": DEFAULT_B_CAP}), _CAP_GRAM),
                       lambda a, p: verify_kimura_vanishing(p, a.cap_b, a.cap_gram)._asdict(),
@@ -465,6 +470,8 @@ def _run(argv: list[str]) -> int:
         command = COMMANDS[args.command]
         start = time.perf_counter()
         try:
+            if command.cell:  # before any work
+                _check_caps(params, *command.cell(params.n))
             results = command.run(args, params)
             status = "pass" if all(results[key] for key in command.checks) else "fail"
         except ResourceLimitError as exc:  # a cap reached is still a report

@@ -20,10 +20,9 @@ from .algebra import (
     TautMonomial,
     _Validated,
     _block_monomials,
-    _dropped_key,
+    _codes,
     _gram_blocks,
     _local_assignments,
-    _local_degrees,
     _sum,
     h_class,
     multiply,
@@ -166,7 +165,7 @@ def ck_projectors(params: ModelParams) -> ProjectorSet:
     n = params.n
     pieces = {k: {} for k in range(0, 2 * n + 1, 2)}
     for mono, c in diagonal_class(params).terms.items():
-        pieces[n if mono.pairs else 2 * _local_degrees(mono, n).get(2, 0)][mono] = c
+        pieces[n if mono.pairs else 2 * _codes(mono, params)[2]][mono] = c
     return ProjectorSet(params, {k: Correspondence(TautClass(2, terms), 1, 1) for k, terms in pieces.items()})
 
 
@@ -280,7 +279,7 @@ def solve_gamma3(params: ModelParams) -> Gamma3Solution:
     coefficients = dict.fromkeys(_local_assignments(3, 2 * n, n), Fraction(0))
     residual: dict[TautMonomial, Fraction] = {}
     for mono, c in gap.terms.items():
-        key = _dropped_key(mono, (1, 2, 3), n)  # -1 on a factor tau covers
+        key = tuple(_codes(mono, params)[1:])  # a tau pair's negative codes are no key
         if key in coefficients:
             coefficients[key] = -c / params.d ** len(mono.opoints)
         else:

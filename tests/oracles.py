@@ -110,7 +110,6 @@ from tautring import (
     tau_class,
     unit_class,
 )
-from tautring.algebra import _ONE
 from tautring.calculus import _mono_pairing
 from tautring.grammar import _terms, format_fraction
 from tautring.kimura import (
@@ -810,6 +809,9 @@ def _strict_term(m: int, coeff: Fraction, atoms: list[tuple], params: ModelParam
             opoints.append(i)
     mono = TautMonomial(m, tuple(pairs), tuple(hpows), tuple(opoints))
     return TautClass.from_monomial(mono, coeff)
+
+
+_ONE = Fraction(1)  # shared: most products have coefficient 1
 
 
 def mul_monomials_two_walks(

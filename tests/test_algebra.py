@@ -27,8 +27,8 @@ from tautring import (
     unit_class,
 )
 from tautring import algebra
-from tautring.algebra import (ResourceLimitError, _check_cap, _dropped_key, _local_assignments, _local_degrees,
-                              _block_monomials, _mul_monomials, _sum)
+from tautring.algebra import (ResourceLimitError, _check_cap, _codes, _dropped_key, _local_assignments,
+                              _block_monomials, _moved, _mul_monomials, _product, _sum)
 import oracles
 from strategies import monomials
 
@@ -284,13 +284,14 @@ def test_enumerate_basis_matches_the_all_matchings_oracle(n, m):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_local_degrees_and_block_monomials_round_trip_every_basis_monomial(n):
+def test_codes_and_block_monomials_round_trip_every_basis_monomial(n):
     params = ModelParams(n, 8, 3)
     for m in range(1, 6):
         for codim in range(m * n + 1):
             for mono in enumerate_basis(params, m, codim):
-                local = sorted(_local_degrees(mono, n).items())
-                free, degrees = [f for f, _ in local], [e for _, e in local]
+                codes = _codes(mono, params)
+                free = [f for f in range(1, m + 1) if codes[f] >= 0]
+                degrees = [codes[f] for f in free]
                 assert _block_monomials(m, [mono.pairs], free, degrees, n) == [mono] == [TautMonomial(*mono)]
 
 
@@ -349,6 +350,53 @@ def test_one_walk_product_matches_the_two_walk_oracle(params, data):
     assert result == oracles.mul_monomials_two_walks(a, b, params)
     if result is not None:  # built without validation, yet as the constructor builds it
         assert result[1] == TautMonomial(*result[1])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_codes_give_partners_negative_and_local_degrees_in_place(data):
+    params = ModelParams(data.draw(st.sampled_from((2, 4))), 8, 3)
+    m = data.draw(st.integers(min_value=1, max_value=12))
+    mono = data.draw(monomials(m, params.n))
+    codes = _codes(mono, params)
+    assert len(codes) == m + 1 and codes[0] == 0  # a normal-form monomial closes with no d
+    for i, j in mono.pairs:
+        assert (codes[i], codes[j]) == (-j, -i)
+    local = {**dict(mono.hpows), **dict.fromkeys(mono.opoints, params.n)}
+    covered = {f for pair in mono.pairs for f in pair}
+    assert {f: codes[f] for f in range(1, m + 1) if f not in covered} == {
+        f: local.get(f, 0) for f in range(1, m + 1) if f not in covered}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_codes_read_a_raw_h_power_as_one_d_times_o_and_above_n_as_zero(n):
+    params = ModelParams(n, 8, 3)
+    assert _codes(TautMonomial(3, hpows=((1, n), (3, n))), params) == [2, n, 0, n]
+    assert _codes(TautMonomial(3, ((2, 3),), ((1, n),)), params) == [1, n, -3, -2]
+    assert _codes(TautMonomial(2, hpows=((1, n - 1),), opoints=(2,)), params) == [0, n - 1, n]
+    assert _codes(TautMonomial(2, hpows=((1, n + 1),)), params) is None
+    assert _codes(TautMonomial(2, hpows=((1, 1), (2, 2 * n))), params) is None
+
+
+@pytest.mark.parametrize("params", PRODUCT_PROFILES, ids=lambda p: f"n{p.n}delta{p.delta}")
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_product_on_the_kept_factors_is_the_full_product_moved(params, data):
+    # the factors dropped are some of those where the product carries o
+    m = data.draw(st.integers(min_value=1, max_value=10))
+    a, b = data.draw(monomials(m, params.n)), data.draw(monomials(m, params.n))
+    full = oracles.mul_monomials_two_walks(a, b, params)
+    if full is None:
+        assert _product(_codes(a, params), _codes(b, params), range(m + 1), m, params) is None
+        return
+    coeff, mono = full
+    dropped = data.draw(st.lists(st.sampled_from(mono.opoints), unique=True)) if mono.opoints else []
+    kept = [f for f in range(1, m + 1) if f not in dropped]
+    relabel = {f: i + 1 for i, f in enumerate(kept)}
+    at = [relabel.get(f, 0) for f in range(m + 1)]
+    result = _product(_codes(a, params), _codes(b, params), at, len(kept), params)
+    assert result == (coeff, _moved(mono, relabel, len(kept)))
+    assert result[1] == TautMonomial(*result[1])  # written as the validating constructor builds it
 
 
 def test_one_walk_product_sorts_pairs_that_a_set_yields_out_of_order():
@@ -412,7 +460,7 @@ def test_normal_form_idempotence_on_random_monomials():
 
 def test_multiply_forms_each_term_product_once_and_relabels_none(monkeypatch):
     # multiply is push_products along no factor: one group, so every x term
-    # meets every y term once, and the identity relabelling is skipped
+    # meets every y term once, each term is read once, and nothing is relabelled
     rng = Random(34)
     x, y = (TautClass(4, {mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
                           for mono in rng.sample(enumerate_basis(P28_3, 4, codim), 12)}) for codim in (3, 4))
@@ -422,7 +470,7 @@ def test_multiply_forms_each_term_product_once_and_relabels_none(monkeypatch):
             if (product := _mul_monomials(ma, mb, P28_3)) is not None:
                 products.append(TautClass.from_monomial(product[1], product[0] * ca * cb))
     expected = _sum(products, 4)
-    calls = {"_mul_monomials": 0, "_moved": 0}
+    calls = {"_product": 0, "_codes": 0, "_moved": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(algebra, name)):
             calls[_name] += 1
@@ -430,7 +478,7 @@ def test_multiply_forms_each_term_product_once_and_relabels_none(monkeypatch):
 
         monkeypatch.setattr(algebra, name, counted)
     assert multiply(x, y, P28_3) == expected and not expected.is_zero
-    assert calls == {"_mul_monomials": len(x.terms) * len(y.terms), "_moved": 0}
+    assert calls == {"_product": len(x.terms) * len(y.terms), "_codes": len(x.terms) + len(y.terms), "_moved": 0}
 
 
 def test_multiply_refuses_a_class_on_other_factors():
@@ -440,8 +488,9 @@ def test_multiply_refuses_a_class_on_other_factors():
 
 def test_the_block_key_over_no_dropped_factor_is_empty():
     mono = TautMonomial(4, pairs=((1, 3),), hpows=((2, 1),), opoints=(4,))
-    assert _dropped_key(mono, (), 2) == () == _dropped_key(mono, (), 2, complement=True)
-    assert _dropped_key(mono, (1, 2, 3, 4), 2) == (-1, 1, -1, 2)
+    codes = _codes(mono, P28_3)
+    assert _dropped_key(codes, (), 2) == () == _dropped_key(codes, (), 2, complement=True)
+    assert _dropped_key(codes, (1, 2, 3, 4), 2) == (-1, 1, -1, 2)
 
 
 @pytest.mark.parametrize("n", [2, 4])

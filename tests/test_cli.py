@@ -646,6 +646,51 @@ def test_basis_cap_is_checked_before_building(monkeypatch, capsys):
     )
 
 
+# each verifier's largest written cell and its table header
+VERIFIER_CELLS = [
+    ("euler", 2, "n+1", "value,expected,match"),
+    ("verify-ck", 2, "n+1", "name,ok,detail"),
+    ("lemma-ok", 2, "n+1", "factor,equal"),
+    ("gamma3", 3, "2n", "i,j,k,coefficient"),
+    ("verify-mck", 3, "2n", "i,j,k,required_zero,zero,ok"),
+]
+
+
+HUGE_N_PARAMS = [["--n", "20000000", "--d", "8", "--b", "3"], ["--n", HUGE_N, "--d", "8", "--b", "3"],
+                 ["--profile", "three-quadrics", "--n", "2" * 2000]]  # b(n) has 4,000 digits, under the limit
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("params", HUGE_N_PARAMS, ids=["n=2e7", "n=2200-digits", "Y-n=2000-digits"])
+@pytest.mark.parametrize("command, m, codim, header", VERIFIER_CELLS, ids=[case[0] for case in VERIFIER_CELLS])
+def test_a_verifier_at_a_huge_n_is_refused_before_any_work(capsys, command, m, codim, header, params, fmt):
+    # its largest cell is over BASIS_CAP; the message writes neither n nor the
+    # cell's size, which at the 2,200-digit n has about 4,400 digits
+    error = f"basis at m={m}, codim={codim} is over the cap {cli.BASIS_CAP}"
+    n = params[params.index("--n") + 1]
+    code, out, err = run_cli(capsys, [command, *params, "--no-timing", "--format", fmt])
+    assert code == 3 and err == (f"error: {error}\n" if fmt == "csv" else "")
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["status"] == "error" and report["results"] == {"error": error}
+        assert report["params"]["n"] == int(n)
+        jsonschema.validate(report, load_schema())
+    elif fmt == "csv":
+        assert out == header + "\n"
+    else:
+        assert out.splitlines()[-3:] == [header.replace(",", "  "), f"error: {error}", "status: error"]
+
+
+@pytest.mark.parametrize("command, m, codim, header", VERIFIER_CELLS, ids=[case[0] for case in VERIFIER_CELLS])
+def test_a_verifier_cell_is_checked_against_the_basis_cap(monkeypatch, capsys, command, m, codim, header):
+    # at n = 2 the cells (2, 3) and (3, 4) hold 2 and 9 monomials
+    monkeypatch.setattr(cli, "BASIS_CAP", 9 if m == 3 else 2)
+    assert run_cli(capsys, [command, "--format", "csv"] + BASE)[0] == 0
+    monkeypatch.setattr(cli, "BASIS_CAP", cli.BASIS_CAP - 1)
+    code, _, err = run_cli(capsys, [command, "--format", "csv"] + BASE)
+    assert code == 3 and err == f"error: basis at m={m}, codim={codim} is over the cap {cli.BASIS_CAP}\n"
+
+
 FACTOR_CAP_CASES = [
     ("basis", ["--m", "2000", "--codim", "0"], 2000, ["monomial"]),
     ("gram", ["--m", "2000", "--codim", "0"], 2000,

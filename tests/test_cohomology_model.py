@@ -1,9 +1,9 @@
 """The formal ring against the cohomology model of `tests/oracles.py`.
 
 At an integer loop value N = delta >= 0 the model H*(Y) = <1, h, ..., h^(n-1), o>
-+ <e_1, ..., e_N> shares nothing with `_mul_monomials`: it multiplies factor by
-factor, so the rewriting rules are checked, not reused.  A non-integer delta
-has no such model.
++ <e_1, ..., e_N> shares nothing with the product rule, `algebra._product`: it
+multiplies factor by factor, so the rewriting rules are checked, not reused.  A
+non-integer delta has no such model.
 """
 
 from fractions import Fraction
@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from tautring import (Correspondence, ModelParams, ProjectorSet, TautClass, TautMonomial, algebra, calculus,
+from tautring import (Correspondence, ModelParams, ProjectorSet, TautClass, TautMonomial, algebra,
                       ck_projectors, diagonal, diagonal_class, enumerate_basis, euler_char, gram, multiply,
                       o_class, pair, pullback, small_diagonal, solve_gamma3, tau_class, transpose)
 from oracles import (cohomology_action, cohomology_class, cohomology_cup, cohomology_image_rank,
@@ -181,13 +181,12 @@ def test_the_class_gamma3_writes_as_zero_is_zero_in_cohomology(params):
 def test_a_product_without_delta_per_cycle_fails_a_check(monkeypatch, params):
     # every closed cycle is read as 1: the checks must see it, except at
     # delta = 1, where that is the product itself
-    mul = algebra._mul_monomials
+    product = algebra._product
 
-    def no_delta(a, b, params):
-        return mul(a, b, params._replace(delta=Fraction(1)))
+    def no_delta(a, b, at, m, params):
+        return product(a, b, at, m, params._replace(delta=Fraction(1)))
 
-    for module in (algebra, calculus):
-        monkeypatch.setattr(module, "_mul_monomials", no_delta)
+    monkeypatch.setattr(algebra, "_product", no_delta)
     assert all(check(params) for check in MOTIVE_CHECKS) == (params.delta == 1)
 
 
