@@ -331,17 +331,6 @@ def _mul_monomials(a: TautMonomial, b: TautMonomial, params: ModelParams) -> tup
     return None if None in codes else _product(*codes, range(a.m + 1), a.m, params)
 
 
-def _moved(mono: TautMonomial, relabel: dict[int, int], m: int) -> TautMonomial:
-    """A monomial relabelled onto m factors.  Every unlabelled factor must
-    carry o, which is integrated out (to 1)."""
-    return TautMonomial(
-        m,
-        tuple((relabel[i], relabel[j]) for i, j in mono.pairs),
-        tuple((relabel[f], e) for f, e in mono.hpows),
-        tuple(relabel[f] for f in mono.opoints if f in relabel),
-    )
-
-
 def push_products(x: TautClass, ys: Iterable[TautClass], kept: Iterable[int], params: ModelParams) -> list[TautClass]:
     """[pushforward(multiply(x, y), kept) for y in ys], forming only the
     term products that survive the pushforward.

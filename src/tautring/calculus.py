@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .algebra import (ModelParams, TautClass, TautMonomial, _block_monomials, _check_cell, _codes, _dropped_key,
-                      _gram_blocks, _moved, _mul_monomials, _perfect_matchings, class_codim, push_products, unit_class)
+                      _gram_blocks, _mul_monomials, _perfect_matchings, class_codim, push_products, unit_class)
 from .linalg import RationalMatrix, rank_kernel
 
 
@@ -27,7 +27,9 @@ def integrate(x: TautClass, params: ModelParams) -> Fraction:
 
 
 def pullback(x: TautClass, m_target: int, embedding: Sequence[int]) -> TautClass:
-    """Relabel factor i of x to embedding[i-1] inside a product with m_target factors."""
+    """Relabel factor i of x to embedding[i-1] inside a product with m_target factors.
+    Only the embedding, from outside, is checked: moved by it, a valid monomial stays
+    valid, so each is written once, canonical (tau pairs low-high, fields by factor)."""
     if len(embedding) != x.m:
         raise ValueError(f"embedding must list a target for each of {x.m} factors")
     if len(set(embedding)) != len(embedding):
@@ -35,8 +37,12 @@ def pullback(x: TautClass, m_target: int, embedding: Sequence[int]) -> TautClass
     for f in embedding:
         if f.__class__ is not int or not 1 <= f <= m_target:  # 1.5 would pass the range check
             raise ValueError(f"embedding target {f!r} out of range 1..{m_target}")
-    relabel = {i + 1: f for i, f in enumerate(embedding)}
-    return TautClass(m_target, {_moved(mono, relabel, m_target): c for mono, c in x._terms.items()})
+    at, terms = (0, *embedding), {}  # factor i's target; the moved terms
+    for (_, pairs, hpows, opoints), c in x._terms.items():
+        pairs = tuple(sorted((a, b) if (a := at[i]) < (b := at[j]) else (b, a) for i, j in pairs))
+        hpows, opoints = tuple(sorted((at[f], e) for f, e in hpows)), tuple(sorted(at[f] for f in opoints))
+        terms[tuple.__new__(TautMonomial, (m_target, pairs, hpows, opoints))] = c
+    return TautClass(m_target, terms)
 
 
 def pushforward(x: TautClass, kept: Iterable[int], params: ModelParams) -> TautClass:

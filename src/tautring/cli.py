@@ -42,9 +42,10 @@ class UsageError(ValueError):
 
 # Largest basis `basis` and `gram` build, checked against basis_count first.
 BASIS_CAP = 10**6
-# Most factors a command works on: the m of `basis` and `gram`, the common m
-# of `mul` and `pair` operands.  Basis enumeration recurses once per factor.
+# Most factors a command works on: the m of `basis` and `gram`, the common m of `mul` and `pair`
+# operands.  The codim 0 basis is grown factor by factor, quadratic in m; an operand term is read into m + 1 codes.
 FACTOR_CAP = 256
+ROW_CAP = 10**6  # most rows verify-ck and verify-mck list (see Command), checked after their cell
 
 # The values each --profile fixes.
 _PROFILES = {"three-quadrics": {"d": 8}, "double-plane": {"n": 2, "d": 2}, "custom": {}}
@@ -294,8 +295,8 @@ def _cmd_euler(args, params):
 # A command: its help line; its options after the common ones; run(args,
 # params) -> results; the columns and records of its table (see _table);
 # checks, the results keys that must all be true for status pass; and for a
-# verifier, cell(n) -> (m, codim, codim's text), the largest cell it writes.
-Command = namedtuple("Command", "help options run columns records checks cell", defaults=(None, (), None))
+# verifier, cell(n) -> (m, codim, codim's text), the largest cell it writes, and maybe rows(n), the rows it lists.
+Command = namedtuple("Command", "help options run columns records checks cell rows", defaults=(None, (), None, None))
 _SMALL_DIAGONAL = lambda n: (3, 2 * n, "2n")
 _DIAGONAL_TIMES_H = lambda n: (2, n + 1, "n+1")
 
@@ -309,10 +310,11 @@ COMMANDS = {
     "gram": Command("Gram matrix rank and kernel", _M_CODIM, _cmd_gram,
                     ("basis_size", "dual_size", "rank", "deficiency")),
     "verify-ck": Command("projector axioms", (), lambda a, p: verify_ck(ck_projectors(p))._asdict(),
-                         ("name", "ok", "detail"), "checks", ("passed",), _DIAGONAL_TIMES_H),
-    "verify-mck": Command("multiplicativity of the projectors", (),
-                          lambda a, p: verify_mck(p)._asdict(),
-                          ("i", "j", "k", "required_zero", "zero", "ok"), "cases", ("passed",), _SMALL_DIAGONAL),
+                         ("name", "ok", "detail"), "checks", ("passed",), _DIAGONAL_TIMES_H,
+                         lambda n: (n + 1) ** 2 + 1),  # a law per pair of projectors, and the sum
+    "verify-mck": Command("multiplicativity of the projectors", (), lambda a, p: verify_mck(p)._asdict(),
+                          ("i", "j", "k", "required_zero", "zero", "ok"), "cases", ("passed",), _SMALL_DIAGONAL,
+                          lambda n: (n + 1) ** 3 + (n + 1) ** 2),  # cases, then partition rows
     "lemma-ok": Command("diagonal-times-h expansion", (), _cmd_lemma_ok, ("factor", "equal"),
                         "checks", ("passed",), _DIAGONAL_TIMES_H),
     "gamma3": Command("modified small diagonal solve", (), _cmd_gamma3,
@@ -472,6 +474,9 @@ def _run(argv: list[str]) -> int:
         try:
             if command.cell:  # before any work
                 _check_caps(params, *command.cell(params.n))
+            if command.rows:  # then the rows it lists
+                rows = command.rows(params.n)
+                _check_cap(rows, ROW_CAP, f"{args.command} at n={params.n} lists {rows} rows, over the cap {ROW_CAP}")
             results = command.run(args, params)
             status = "pass" if all(results[key] for key in command.checks) else "fail"
         except ResourceLimitError as exc:  # a cap reached is still a report

@@ -44,6 +44,8 @@ refuses the other refuses too.  `mul_monomials_two_walks` contracts the
 paths of the tau graph in one walk and its cycles in a second, and
 builds the product through the validating constructor, where the
 library walks once and builds the canonical fields directly.
+`moved` relabels a monomial through the validating constructor, where
+`pullback` and the product write the relabelled fields as they are.
 `parse_class_term_by_term` adds each term of a class text to a running
 total, multiplies the generator classes of a term's atoms and builds a
 strict term's monomial by hand, where the library sums all terms into
@@ -809,6 +811,18 @@ def _strict_term(m: int, coeff: Fraction, atoms: list[tuple], params: ModelParam
             opoints.append(i)
     mono = TautMonomial(m, tuple(pairs), tuple(hpows), tuple(opoints))
     return TautClass.from_monomial(mono, coeff)
+
+
+def moved(mono: TautMonomial, relabel: dict[int, int], m: int) -> TautMonomial:
+    """A monomial relabelled onto m factors, built through the validating
+    constructor.  Every unlabelled factor must carry o, which is integrated
+    out (to 1)."""
+    return TautMonomial(
+        m,
+        tuple((relabel[i], relabel[j]) for i, j in mono.pairs),
+        tuple((relabel[f], e) for f, e in mono.hpows),
+        tuple(relabel[f] for f in mono.opoints if f in relabel),
+    )
 
 
 _ONE = Fraction(1)  # shared: most products have coefficient 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tautring import (
+    Correspondence,
     ModelParams,
     RationalMatrix,
     TautClass,
@@ -26,6 +27,7 @@ from tautring import (
     pushforward,
     solve_linear,
     tau_class,
+    transpose,
     unit_class,
 )
 from strategies import classes
@@ -66,6 +68,28 @@ def test_pullback_requires_injective_embedding():
         pullback(tau_class(2, 1, 2), 3, (1, 1))
     with pytest.raises(ValueError):
         pullback(tau_class(2, 1, 2), 3, (1, 4))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_pullback_writes_each_moved_monomial_as_the_constructor_builds_it(n, data):
+    # an injective embedding, monotone or not, into at most 9 factors; some h powers raw (>= n)
+    m = data.draw(st.integers(min_value=0, max_value=6))
+    m_target = data.draw(st.integers(min_value=max(m, 1), max_value=9))
+    embedding = data.draw(st.permutations(range(1, m_target + 1)))[:m]
+    if data.draw(st.booleans()):
+        embedding.sort()
+    raw = data.draw(st.sets(st.integers(min_value=1, max_value=max(m, 1))))
+    x = TautClass(m, {TautMonomial(m, mono.pairs, tuple((f, e + n if f in raw else e) for f, e in mono.hpows),
+                                   mono.opoints): c for mono, c in data.draw(classes(m, n, max_terms=5)).terms.items()})
+    relabel = {i + 1: f for i, f in enumerate(embedding)}
+    pulled = pullback(x, m_target, embedding)
+    assert pulled.terms == {oracles.moved(mono, relabel, m_target): c for mono, c in x.terms.items()}
+    assert all(mono == TautMonomial(*mono) for mono in pulled.terms)  # canonical as written
+    s = data.draw(st.integers(min_value=0, max_value=m_target))
+    f = Correspondence(pulled, s, m_target - s)
+    assert transpose(transpose(f)) == f
 
 
 @pytest.mark.parametrize("target", [1.5, True], ids=["float", "bool"])

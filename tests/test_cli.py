@@ -691,6 +691,50 @@ def test_a_verifier_cell_is_checked_against_the_basis_cap(monkeypatch, capsys, c
     assert code == 3 and err == f"error: basis at m={m}, codim={codim} is over the cap {cli.BASIS_CAP}\n"
 
 
+# each verifier whose rows outgrow its cell: the least n over ROW_CAP, its rows there, and its table header
+VERIFIER_ROWS = [
+    ("verify-ck", 1000, 1001**2 + 1, "name,ok,detail"),
+    ("verify-mck", 100, 101**3 + 101**2, "i,j,k,required_zero,zero,ok"),
+]
+
+
+def _no_work(*args):
+    raise AssertionError("a refused verifier started its work")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command, n, rows, header", VERIFIER_ROWS, ids=[case[0] for case in VERIFIER_ROWS])
+def test_a_verifier_over_the_row_cap_is_refused_before_any_work(monkeypatch, capsys, command, n, rows, header, fmt):
+    # its cell is under BASIS_CAP, but its rows are not
+    for name in ("ck_projectors", "verify_ck", "verify_mck"):
+        monkeypatch.setattr(cli, name, _no_work)
+    error = f"{command} at n={n} lists {rows} rows, over the cap {cli.ROW_CAP}"
+    code, out, err = run_cli(capsys, [command, "--n", str(n), "--d", "8", "--b", "3", "--no-timing", "--format", fmt])
+    assert code == 3 and err == (f"error: {error}\n" if fmt == "csv" else "")
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["status"] == "error" and report["results"] == {"error": error}
+        jsonschema.validate(report, load_schema())
+    elif fmt == "csv":
+        assert out == header + "\n"
+    else:
+        assert out.splitlines()[-3:] == [header.replace(",", "  "), f"error: {error}", "status: error"]
+
+
+@pytest.mark.parametrize("command, n, rows, header", VERIFIER_ROWS, ids=[case[0] for case in VERIFIER_ROWS])
+def test_a_verifier_lists_the_rows_its_cap_counts(monkeypatch, capsys, command, n, rows, header):
+    # at n = 2 verify-ck lists 9 compositions and the sum, verify-mck 27 cases and 9 partition rows
+    count = cli.COMMANDS[command].rows
+    assert count(n) == rows and count(n - 2) <= cli.ROW_CAP  # n - 2: the largest even n admitted
+    monkeypatch.setattr(cli, "ROW_CAP", count(2))
+    code, out, _ = run_cli(capsys, [command, "--format", "json"] + BASE)
+    results = json.loads(out)["results"]
+    assert code == 0 and sum(len(v) for v in results.values() if isinstance(v, list)) == count(2)
+    monkeypatch.setattr(cli, "ROW_CAP", count(2) - 1)
+    code, _, err = run_cli(capsys, [command, "--format", "csv"] + BASE)
+    assert code == 3 and err == f"error: {command} at n=2 lists {count(2)} rows, over the cap {count(2) - 1}\n"
+
+
 FACTOR_CAP_CASES = [
     ("basis", ["--m", "2000", "--codim", "0"], 2000, ["monomial"]),
     ("gram", ["--m", "2000", "--codim", "0"], 2000,
@@ -1054,6 +1098,8 @@ CONTRACT_CASES = (
     + [([command, *args] + BASE, None, 3) for command, args, _, _ in FACTOR_CAP_CASES]
     + [
         (["scan", "--m-max", "4", "--cap-gram", "5"] + BASE, None, 3),
+        (["verify-ck", "--n", "1000", "--d", "8", "--b", "3", "--no-timing"], None, 3),  # ROW_CAP
+        (["verify-mck", "--n", "100", "--d", "8", "--b", "3", "--no-timing"], None, 3),
         (["kimura", "--n", "2", "--d", "8", "--b", "9", "--no-timing"], None, 3),  # --cap-b
         (["kimura", "--n", "2", "--d", "8", "--b", "4", "--no-timing"], None, 3),  # --cap-gram
     ]
